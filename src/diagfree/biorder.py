@@ -5,9 +5,8 @@ labels of idempotents."""
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterator, Sequence
 
 from .diagram import (
     FiniteStarSemigroup,
@@ -181,29 +180,39 @@ class SquareEntry:
 
 class _WitnessIndex:
     """Left/right identity sets over E(S), keyed by the projections of a
-    D-class: u x = x iff u (x x*) = x x*, and dually."""
+    D-class: u x = x iff u (x x*) = x x*, and dually.
+
+    The sets are int bitsets in which bit b stands for pool[b], and the pool
+    is in scan order.  Since p* = p, p u = p holds exactly when u* p = p, so
+    each right identity set comes from the left one through the involution.
+    """
 
     def __init__(self, d: DClassData):
         h = d.handle
-        self.h = h
         pool = h.idempotents()
         if isinstance(h, PartitionHandleBase) and d.rank is not None:
             pool = [u for u in pool if u.rank() >= d.rank]
         self.pool = sorted(pool, key=lambda u: (_nt_of(h, u), h.sort_key(u)))
-        self.order = {u: i for i, u in enumerate(self.pool)}
-        self.lid: list[frozenset] = []
-        self.rid: list[frozenset] = []
+        bit = {u: 1 << b for b, u in enumerate(self.pool)}
+        star_bit = [bit[h.star(u)] for u in self.pool]
+        self.lid: list[int] = []
+        self.rid: list[int] = []
         for p in d.projections:
-            self.lid.append(
-                frozenset(u for u in self.pool if h.product(u, p) == p)
-            )
-            self.rid.append(
-                frozenset(u for u in self.pool if h.product(p, u) == p)
-            )
-        self.above = [l & r for l, r in zip(self.lid, self.rid)]
+            lid = rid = 0
+            for b, u in enumerate(self.pool):
+                if h.product(u, p) == p:
+                    lid |= 1 << b
+                    rid |= star_bit[b]
+            self.lid.append(lid)
+            self.rid.append(rid)
 
-    def sortu(self, us: Iterable) -> list:
-        return sorted(us, key=self.order.__getitem__)
+    def scan(self, bits: int) -> Iterator:
+        """The pool elements of a bitset, in scan order."""
+        pool = self.pool
+        while bits:
+            low = bits & -bits
+            yield pool[low.bit_length() - 1]
+            bits ^= low
 
 
 def _square_candidates(d: DClassData):
@@ -222,62 +231,51 @@ def _square_candidates(d: DClassData):
                 yield i, k, j, l
 
 
-def enumerate_singular_squares(d: DClassData, threads: int = 1) -> list[SquareEntry]:
+def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
     """All non-degenerate singular squares of the D-class, deduplicated by
     unordered row pair + unordered column pair + orientation class."""
     h = d.handle
     widx = _WitnessIndex(d)
+    lid, rid, scan = widx.lid, widx.rid, widx.scan
     p = h.product
-    candidates = list(_square_candidates(d))
-
-    def classify(chunk):
-        out = []
-        for i, k, j, l in chunk:
-            e = d.e_of_pair[(i, j)]
-            f = d.e_of_pair[(i, l)]
-            g = d.e_of_pair[(k, j)]
-            hh = d.e_of_pair[(k, l)]
-            sq = Square(e, f, g, hh)
-            # Candidate witnesses: the left/right identity conditions of each
-            # orientation reduce to membership in row/column identity sets;
-            # only the two remaining equations need products.
-            found = None
-            for u in widx.sortu(widx.lid[i] & widx.lid[k] & widx.rid[l]):
-                if p(e, u) == f and p(g, u) == hh:
-                    found = ("LR", u)
+    entries = []
+    for i, k, j, l in _square_candidates(d):
+        e = d.e_of_pair[(i, j)]
+        f = d.e_of_pair[(i, l)]
+        g = d.e_of_pair[(k, j)]
+        hh = d.e_of_pair[(k, l)]
+        sq = Square(e, f, g, hh)
+        # Candidate witnesses: the left/right identity conditions of each
+        # orientation reduce to membership in row/column identity sets;
+        # only the two remaining equations need products.
+        found = None
+        for u in scan(lid[i] & lid[k] & rid[l]):
+            if p(e, u) == f and p(g, u) == hh:
+                found = ("LR", u)
+                break
+        if found is None:
+            for u in scan(lid[i] & lid[k] & rid[j]):
+                if p(f, u) == e and p(hh, u) == g:
+                    found = ("RL", u)
                     break
-            if found is None:
-                for u in widx.sortu(widx.lid[i] & widx.lid[k] & widx.rid[j]):
-                    if p(f, u) == e and p(hh, u) == g:
-                        found = ("RL", u)
-                        break
-            if found:
-                out.append(
-                    SquareEntry((i, k), (j, l), "horizontal", sq, found[0], found[1])
-                )
-            found = None
-            for u in widx.sortu(widx.rid[j] & widx.rid[l] & widx.lid[k]):
-                if p(u, e) == g and p(u, f) == hh:
-                    found = ("UD", u)
+        if found:
+            entries.append(
+                SquareEntry((i, k), (j, l), "horizontal", sq, found[0], found[1])
+            )
+        found = None
+        for u in scan(rid[j] & rid[l] & lid[k]):
+            if p(u, e) == g and p(u, f) == hh:
+                found = ("UD", u)
+                break
+        if found is None:
+            for u in scan(rid[j] & rid[l] & lid[i]):
+                if p(u, g) == e and p(u, hh) == f:
+                    found = ("DU", u)
                     break
-            if found is None:
-                for u in widx.sortu(widx.rid[j] & widx.rid[l] & widx.lid[i]):
-                    if p(u, g) == e and p(u, hh) == f:
-                        found = ("DU", u)
-                        break
-            if found:
-                out.append(
-                    SquareEntry((i, k), (j, l), "vertical", sq, found[0], found[1])
-                )
-        return out
-
-    if threads > 1 and len(candidates) > 64:
-        shards = [candidates[s::threads] for s in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(classify, shards))
-        entries = [entry for part in results for entry in part]
-    else:
-        entries = classify(candidates)
+        if found:
+            entries.append(
+                SquareEntry((i, k), (j, l), "vertical", sq, found[0], found[1])
+            )
     entries.sort(key=lambda s: (s.rows, s.cols, s.oclass))
     return entries
 
@@ -310,7 +308,7 @@ def conjugators(d: DClassData) -> list:
     return d.handle.projections()
 
 
-def enumerate_linked_diamonds(d: DClassData, threads: int = 1) -> list[LinkedDiamond]:
+def enumerate_linked_diamonds(d: DClassData) -> list[LinkedDiamond]:
     """All linked diamonds (s,u;v,w) over P_D, one witness kept per diamond
     (the earliest conjugating projection in canonical order), deduplicated
     under (s,u;v,w) ~ (u,s;w,v)."""
@@ -318,48 +316,27 @@ def enumerate_linked_diamonds(d: DClassData, threads: int = 1) -> list[LinkedDia
     P = d.projections
     pidx = {p: i for i, p in enumerate(P)}
     fr = d.friendly
-    conj = conjugators(d)
-
-    def scan(indexed):
-        part: dict[tuple, tuple[int, LinkedDiamond]] = {}
-        for pord, p in indexed:
-            image = {}
-            for i, s in enumerate(P):
-                v = h.product(h.product(p, s), p)
-                j = pidx.get(v)
-                if j is not None:
-                    image[i] = j
-            items = sorted(image.items())
-            for si, vi in items:
-                for ui, wi in items:
-                    if (
-                        (si, vi) in fr
-                        and (si, wi) in fr
-                        and (ui, vi) in fr
-                        and (ui, wi) in fr
-                    ):
-                        key = min((si, ui, vi, wi), (ui, si, wi, vi))
-                        if key not in part or pord < part[key][0]:
-                            if key not in part:
-                                part[key] = (
-                                    pord,
-                                    LinkedDiamond(P[si], P[ui], P[vi], P[wi], p),
-                                )
-        return part
-
-    indexed = list(enumerate(conj))
-    if threads > 1 and len(indexed) > 8:
-        shards = [indexed[s::threads] for s in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(scan, shards))
-        found: dict[tuple, tuple[int, LinkedDiamond]] = {}
-        for part in parts:
-            for key, val in part.items():
-                if key not in found or val[0] < found[key][0]:
-                    found[key] = val
-    else:
-        found = scan(indexed)
-    return [found[k][1] for k in sorted(found)]
+    found: dict[tuple, LinkedDiamond] = {}
+    for p in conjugators(d):
+        image = {}
+        for i, s in enumerate(P):
+            v = h.product(h.product(p, s), p)
+            j = pidx.get(v)
+            if j is not None:
+                image[i] = j
+        items = sorted(image.items())
+        for si, vi in items:
+            for ui, wi in items:
+                if (
+                    (si, vi) in fr
+                    and (si, wi) in fr
+                    and (ui, vi) in fr
+                    and (ui, wi) in fr
+                ):
+                    key = min((si, ui, vi, wi), (ui, si, wi, vi))
+                    if key not in found:
+                        found[key] = LinkedDiamond(P[si], P[ui], P[vi], P[wi], p)
+    return [found[k] for k in sorted(found)]
 
 
 def linked_triangles(d: DClassData) -> list[tuple]:

@@ -170,11 +170,11 @@ def squares_from_doc(d: DClassData, doc: dict) -> list[SquareEntry]:
 
 def load_squares(args, h, rank, d: DClassData) -> list[SquareEntry]:
     if isinstance(h, AdjacencySemigroup) or getattr(args, "no_cache", False):
-        return enumerate_singular_squares(d, threads=getattr(args, "threads", 1))
+        return enumerate_singular_squares(d)
     path = cache_dir(args) / _cache_key(h, rank, "squares")
     if path.exists():
         return squares_from_doc(d, json.loads(path.read_text()))
-    sq = enumerate_singular_squares(d, threads=getattr(args, "threads", 1))
+    sq = enumerate_singular_squares(d)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(squares_to_doc(d, sq), indent=2, sort_keys=True))
     return sq
@@ -356,7 +356,7 @@ def cmd_graph(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_all
 
-    results = run_all(include_slow=args.slow, threads=args.threads)
+    results = run_all(include_slow=args.slow)
     failed = 0
     for res in results:
         status = "PASS" if res.ok else "FAIL"
@@ -385,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--allow-large", action="store_true",
                        help="override the default degree cap")
         p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--cache-dir", help="cache directory override")
 
     p = sub.add_parser("stats", help="D-class statistics")
@@ -428,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--slow", action="store_true", help="include the slow degree-5 items")
     p.add_argument("--verbose", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_verify)
     return ap
 

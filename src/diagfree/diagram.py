@@ -189,90 +189,70 @@ def partition_from_text(n: int, text: str) -> Partition:
 # -- product ------------------------------------------------------------
 
 
-def _product_parent(a: Partition, b: Partition) -> list[int]:
-    """Union-find parent array for the 3n-vertex product graph of a, b.
+def _product(a: Partition, b: Partition) -> tuple[Partition, list[int], dict[int, int]]:
+    """Product of a and b by union-find over block labels.
 
-    Slots 0..n-1 are the top row, n..2n-1 the bottom row, 2n..3n-1 the
-    middle row.
+    Block id l is the label l of a and 2n + l the label l of b (labels are
+    below 2n); the middle point i'' joins a's lower label at i with b's
+    upper label at i.  The outer rows are relabelled in first-occurrence
+    order as they are read.  Returns the product, the union-find parent
+    array and the map from each outer root to its product label.
     """
+    if a.n != b.n:
+        raise DegreeError(f"degree mismatch: {a.n} vs {b.n}")
     n = a.n
-    parent = list(range(3 * n))
-
-    def find(x: int) -> int:
+    la, lb = a.labels, b.labels
+    k = 2 * n
+    parent = list(range(2 * k))
+    for x, y in zip(la[n:], lb[:n]):
+        y += k
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    # a occupies top + middle, b occupies middle + bottom.
-    first: dict[int, int] = {}
-    la = a.labels
-    for i in range(n):
-        lab = la[i]
-        if lab in first:
-            union(first[lab], i)
-        else:
-            first[lab] = i
-    for i in range(n):
-        lab = la[n + i]
-        if lab in first:
-            union(first[lab], 2 * n + i)
-        else:
-            first[lab] = 2 * n + i
-    first.clear()
-    lb = b.labels
-    for i in range(n):
-        lab = lb[i]
-        if lab in first:
-            union(first[lab], 2 * n + i)
-        else:
-            first[lab] = 2 * n + i
-    for i in range(n):
-        lab = lb[n + i]
-        if lab in first:
-            union(first[lab], n + i)
-        else:
-            first[lab] = n + i
-    return [find(x) for x in range(3 * n)]
+        while parent[y] != y:
+            y = parent[y]
+        if x != y:
+            parent[y] = x
+    outer: dict[int, int] = {}
+    out = []
+    for x in la[:n]:
+        while parent[x] != x:
+            x = parent[x]
+        out.append(outer.setdefault(x, len(outer)))
+    for y in lb[n:]:
+        x = y + k
+        while parent[x] != x:
+            x = parent[x]
+        out.append(outer.setdefault(x, len(outer)))
+    return Partition(n, out, _canon=True), parent, outer
 
 
 def multiply(a: Partition, b: Partition) -> Partition:
     """Product in the partition monoid."""
-    if a.n != b.n:
-        raise DegreeError(f"degree mismatch: {a.n} vs {b.n}")
-    n = a.n
-    roots = _product_parent(a, b)
-    return Partition(n, roots[: 2 * n])
+    return _product(a, b)[0]
+
+
+def _floating(a: Partition, b: Partition) -> tuple[Partition, dict[int, set[int]]]:
+    """The product and its floating components: the middle points i'' whose
+    root occurs in neither outer row, grouped by root."""
+    prod, parent, outer = _product(a, b)
+    comps: dict[int, set[int]] = {}
+    for i, x in enumerate(a.labels[a.n :]):
+        while parent[x] != x:
+            x = parent[x]
+        if x not in outer:
+            comps.setdefault(x, set()).add(i + 1)
+    return prod, comps
 
 
 def multiply_with_floats(a: Partition, b: Partition) -> tuple[Partition, int]:
     """Product together with the count of floating (middle-only) components."""
-    if a.n != b.n:
-        raise DegreeError(f"degree mismatch: {a.n} vs {b.n}")
-    n = a.n
-    roots = _product_parent(a, b)
-    outer = set(roots[: 2 * n])
-    floating = {r for r in roots[2 * n :] if r not in outer}
-    return Partition(n, roots[: 2 * n]), len(floating)
+    prod, comps = _floating(a, b)
+    return prod, len(comps)
 
 
 def floating_components(a: Partition, b: Partition) -> list[frozenset[int]]:
     """Floating components of the product graph, as sets of middle points i''."""
-    if a.n != b.n:
-        raise DegreeError(f"degree mismatch: {a.n} vs {b.n}")
-    n = a.n
-    roots = _product_parent(a, b)
-    outer = set(roots[: 2 * n])
-    comps: dict[int, set[int]] = {}
-    for i in range(n):
-        r = roots[2 * n + i]
-        if r not in outer:
-            comps.setdefault(r, set()).add(i + 1)
+    comps = _floating(a, b)[1]
     return sorted((frozenset(v) for v in comps.values()), key=sorted)
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .diagram import (
+    ADJ_ZERO,
     AdjacencySemigroup,
     FiniteStarSemigroup,
     PartitionHandleBase,
@@ -183,15 +184,19 @@ class DClassData:
 
 
 def dclass_data(h: FiniteStarSemigroup, r: int | None = None) -> DClassData:
-    """Assemble the D-class of rank r (or the unique non-zero class)."""
+    """Assemble the D-class of rank r, or the unique non-zero class of an
+    adjacency semigroup (rank None, no strata)."""
     if isinstance(h, AdjacencySemigroup):
-        return _adjacency_dclass(h)
-    if r is None:
+        r = None
+        elems = [x for x in h.elements() if x != ADJ_ZERO]
+    elif r is None:
         raise EmptyClassError("a rank is required for partition-like handles")
-    elems = [a for a in h.elements() if a.rank() == r]
+    else:
+        elems = [a for a in h.elements() if a.rank() == r]
     if not elems:
         raise EmptyClassError(f"{h.describe()} has no elements of rank {r}")
-    idem = [e for e in elems if h.is_idempotent(e)]
+    members = set(elems)
+    idem = [e for e in h.idempotents() if e in members]
     if h.has_star:
         projections = [p for p in idem if h.star(p) == p]
         lreps = projections
@@ -215,34 +220,9 @@ def dclass_data(h: FiniteStarSemigroup, r: int | None = None) -> DClassData:
         pair = (d.r_index_of(e), d.l_index_of(e))
         d.friendly.add(pair)
         d.e_of_pair[pair] = e
-    for e in idem:
-        d.strata.setdefault((e.ntu(), e.ntd()), []).append(e)
-    d.check_invariants()
-    return d
-
-
-def _adjacency_dclass(h: AdjacencySemigroup) -> DClassData:
-    from .diagram import ADJ_ZERO
-
-    elems = [x for x in h.elements() if x != ADJ_ZERO]
-    idem = [e for e in elems if h.is_idempotent(e)]
-    projections = [p for p in idem if h.star(p) == p]
-    d = DClassData(
-        handle=h,
-        rank=None,
-        size=len(elems),
-        projections=projections,
-        lreps=projections,
-        idempotents=idem,
-        friendly=set(),
-        e_of_pair={},
-        elements=elems,
-    )
-    d.finish()
-    for e in idem:
-        pair = (d.r_index_of(e), d.l_index_of(e))
-        d.friendly.add(pair)
-        d.e_of_pair[pair] = e
+    if r is not None:
+        for e in idem:
+            d.strata.setdefault((e.ntu(), e.ntd()), []).append(e)
     d.check_invariants()
     return d
 

@@ -62,8 +62,6 @@ from .present import (
     tietze_simplify,
 )
 
-_THREADS = 1
-
 
 @dataclass
 class CriterionResult:
@@ -89,7 +87,7 @@ def dclass(kind: str, n: int, r: int):
 
 @lru_cache(maxsize=None)
 def squares(kind: str, n: int, r: int):
-    return enumerate_singular_squares(dclass(kind, n, r), threads=_THREADS)
+    return enumerate_singular_squares(dclass(kind, n, r))
 
 
 def _labels_for(h, d):
@@ -562,9 +560,7 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(include_slow: bool = False, threads: int = 1) -> list[CriterionResult]:
-    global _THREADS
-    _THREADS = max(1, threads)
+def run_all(include_slow: bool = False) -> list[CriterionResult]:
     results = []
     for fn in ALL_CRITERIA:
         if fn is criterion_8:

@@ -1,9 +1,12 @@
 """Singular squares, linked diamonds and triangles, NT-reduction, labels."""
 
+import hashlib
+
 import pytest
 
 from diagfree.biorder import (
     Square,
+    _WitnessIndex,
     brute_force_singular_squares,
     enumerate_linked_diamonds,
     enumerate_singular_squares,
@@ -26,6 +29,7 @@ from diagfree.biorder import (
     witness_orientations,
 )
 from diagfree.diagram import (
+    AdjacencySemigroup,
     BrauerMonoid,
     PartitionMonoid,
     full_domain_projection,
@@ -90,12 +94,46 @@ def test_adjacency_no_nondegenerate_singular_squares():
     assert all(x.degenerate for x in dias)
 
 
-def test_threaded_enumeration_matches():
-    d = dclass_data(P3, 1)
-    single = enumerate_singular_squares(d, threads=1)
-    sharded = enumerate_singular_squares(d, threads=3)
-    assert single == sharded
-    assert enumerate_linked_diamonds(d, threads=3) == enumerate_linked_diamonds(d)
+@pytest.mark.parametrize(
+    "h, r",
+    [(P3, 1), (P4, 2), (AdjacencySemigroup("abc", [("a", "b"), ("b", "c")]), None)],
+    ids=["P3r1", "P4r2", "adjacency"],
+)
+def test_witness_index_bits(h, r):
+    d = dclass_data(h, r)
+    widx = _WitnessIndex(d)
+    assert widx.pool
+    for i, p in enumerate(d.projections):
+        for b, u in enumerate(widx.pool):
+            assert bool(widx.lid[i] >> b & 1) == (h.product(u, p) == p)
+            assert bool(widx.rid[i] >> b & 1) == (h.product(p, u) == p)
+        assert widx.lid[i] >> len(widx.pool) == 0
+        assert widx.rid[i] >> len(widx.pool) == 0
+        assert list(widx.scan(widx.lid[i])) == [
+            u for u in widx.pool if h.product(u, p) == p
+        ]
+
+
+# Count and sha256 of the square list with its witnesses.  The witness is
+# the first one found in scan order, so a change to the scan order or to a
+# product shows here even when the set of squares stays the same.
+SQUARE_DIGESTS = {
+    (3, 1): (240, "00d9284522b3c354521ab791d1ad21dcc3588999d9c8ebb653b13ee970e847b9"),
+    (4, 2): (1656, "9f3db39e53c89ae264447f11ab9583a5cdf29cecd41587f3d8b27f65a7d93147"),
+}
+
+
+@pytest.mark.parametrize("n, r", sorted(SQUARE_DIGESTS))
+def test_square_list_with_witnesses_pinned(n, r):
+    h = PartitionMonoid(n)
+    d = dclass_data(h, r)
+    squares = enumerate_singular_squares(d)
+    text = "\n".join(
+        f"{s.rows[0]} {s.rows[1]} {s.cols[0]} {s.cols[1]} {s.oclass} "
+        f"{s.orientation} {h.text(s.u)}"
+        for s in squares
+    )
+    assert (len(squares), hashlib.sha256(text.encode()).hexdigest()) == SQUARE_DIGESTS[(n, r)]
 
 
 def test_rank0_diamonds_tau_linked():

@@ -10,6 +10,7 @@ from diagfree.diagram import (
     BlockError,
     BrauerMonoid,
     DegreeError,
+    Partition,
     PartitionMonoid,
     TransformationMonoid,
     TwistedElement,
@@ -138,6 +139,77 @@ def test_phi_nonnegative_and_agrees():
         prod, phi = multiply_with_floats(a, b)
         assert phi >= 0
         assert prod == multiply(a, b)
+
+
+def _reference_product(a, b):
+    """The product graph on 3n vertices, by union-find over points.
+
+    Slots 0..n-1 are the top row, n..2n-1 the bottom row and 2n..3n-1 the
+    middle row: a occupies top + middle, b middle + bottom.  Returns the
+    product and its floating components.
+    """
+    if a.n != b.n:
+        raise DegreeError(f"degree mismatch: {a.n} vs {b.n}")
+    n = a.n
+    parent = list(range(3 * n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def join(labels, upper, lower):
+        first = {}
+        for i, lab in enumerate(labels):
+            slot = upper + i if i < n else lower + i - n
+            if lab in first:
+                parent[find(slot)] = find(first[lab])
+            else:
+                first[lab] = slot
+
+    join(a.labels, 0, 2 * n)
+    join(b.labels, 2 * n, n)
+    roots = [find(x) for x in range(3 * n)]
+    outer = set(roots[: 2 * n])
+    comps = {}
+    for i in range(n):
+        r = roots[2 * n + i]
+        if r not in outer:
+            comps.setdefault(r, set()).add(i + 1)
+    floats = sorted((frozenset(v) for v in comps.values()), key=sorted)
+    return Partition(n, roots[: 2 * n]), floats
+
+
+def _random_partition(rng, n):
+    return Partition(n, [rng.randrange(2 * n) for _ in range(2 * n)])
+
+
+def _reference_pairs():
+    rng = random.Random(2024)
+    for n in range(1, 6):
+        for _ in range(1500):
+            yield _random_partition(rng, n), _random_partition(rng, n)
+    for h in (BrauerMonoid(4), TransformationMonoid(3)):
+        els = h.elements()
+        for _ in range(1500):
+            yield rng.choice(els), rng.choice(els)
+
+
+def test_products_match_reference_graph():
+    for a, b in _reference_pairs():
+        ref, floats = _reference_product(a, b)
+        assert multiply(a, b).labels == ref.labels
+        prod, phi = multiply_with_floats(a, b)
+        assert prod.labels == ref.labels and phi == len(floats)
+        assert floating_components(a, b) == floats
+
+
+def test_products_reject_degree_mismatch():
+    a, b = identity(3), identity(4)
+    for fn in (_reference_product, multiply, multiply_with_floats, floating_components):
+        with pytest.raises(DegreeError, match="degree mismatch: 3 vs 4"):
+            fn(a, b)
 
 
 def test_twisted_multiply():
