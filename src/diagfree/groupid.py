@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .present import GroupPresentation, tietze_simplify
+from .present import GroupPresentation, SimplifyResult, tietze_simplify
 
 # -- Smith normal form --------------------------------------------------------
 
@@ -385,25 +385,31 @@ class Verdict:
         }
 
 
-def _quotient_by(p: GroupPresentation, names: tuple[str, ...]) -> GroupPresentation:
-    extra = tuple((p.gen_index(name) + 1,) for name in names)
-    return GroupPresentation(p.generators, p.relators + extra)
-
-
-def identify(p: GroupPresentation, hints: IdentifyHints | None = None) -> Verdict:
+def identify(
+    p: GroupPresentation,
+    hints: IdentifyHints | None = None,
+    *,
+    simplified: SimplifyResult | None = None,
+) -> Verdict:
     """Combined verdict pipeline.
 
     simplify -> free detection -> abelianization -> (S_r route) full coset
     enumeration plus a surjective label homomorphism, or (Z x S_r route,
     reported as partial) abelian invariants, quotient by a hinted generator
-    enumerating to r!, and the label homomorphism.
+    enumerating to r!, and the label homomorphism.  The quotient is the
+    simplified presentation plus the hinted generators' images through the
+    elimination record.  `simplified`, a `tietze_simplify` result for p
+    that the caller already holds, is used instead of simplifying again.
     """
     hints = hints or IdentifyHints()
     ev: list[str] = []
-    simp = tietze_simplify(p, hints.simplify_budget)
+    simp = simplified
+    if simp is None:
+        simp = tietze_simplify(p, hints.simplify_budget)
     q = simp.presentation
     ev.append(
         f"simplified to {len(q.generators)} generators, {len(q.relators)} relators"
+        f" in {simp.eliminations} eliminations"
         + ("" if simp.complete else " (budget exhausted)")
     )
     label_check = None
@@ -462,7 +468,9 @@ def identify(p: GroupPresentation, hints: IdentifyHints | None = None) -> Verdic
             f"torsion {ab.torsion} {'matches' if torsion_ok else 'differs from'} "
             f"the direct-product target {expected_torsion}"
         )
-        qp = _quotient_by(p, hints.quotient_generators)
+        qp = simp.quotient(
+            (p.gen_index(name) + 1,) for name in hints.quotient_generators
+        )
         qsimp = tietze_simplify(qp, hints.simplify_budget)
         ct = todd_coxeter(qsimp.presentation, hints.max_cosets)
         if ct.complete:

@@ -11,6 +11,7 @@ byte-for-byte reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .biorder import LinkedDiamond, SquareEntry
@@ -55,28 +56,37 @@ def free_reduce(w: Sequence[int]) -> Word:
 
 
 def cyclic_reduce(w: Word) -> Word:
-    w = free_reduce(w)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
+    return _cyclic_strip(free_reduce(w))
+
+
+def _cyclic_strip(w: Sequence[int]) -> Word:
+    """The cyclic reduction of a freely reduced word."""
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == -w[j]:
+        i += 1
+        j -= 1
+    return tuple(w[i : j + 1])
 
 
 def invert_word(w: Sequence[int]) -> Word:
-    return tuple(-x for x in reversed(w))
+    return tuple([-x for x in reversed(w)])
 
 
 def relator_key(w: Word) -> Word:
     """Canonical form up to rotation and inversion, for deduplication."""
     w = cyclic_reduce(w)
-    if not w:
-        return ()
-    best = None
-    for v in (w, invert_word(w)):
-        for i in range(len(v)):
-            rot = v[i:] + v[:i]
-            if best is None or rot < best:
-                best = rot
-    return best
+    return _rotation_key(w) if w else ()
+
+
+def _rotation_key(w: Word) -> Word:
+    """The least rotation of w or of its inverse; w is cyclically reduced
+    and not empty.  Only a rotation that starts with the least letter can
+    be least."""
+    n = len(w)
+    ww = w + w
+    vv = invert_word(ww)
+    m = min(min(w), -max(w))
+    return min([x[i : i + n] for x in (ww, vv) for i in range(n) if x[i] == m])
 
 
 # -- presentation constructors -------------------------------------------------
@@ -320,9 +330,37 @@ def basic_pairs(h: FiniteStarSemigroup) -> list[tuple]:
 
 @dataclass
 class SimplifyResult:
+    """A simplified presentation and the eliminations that produced it.
+
+    `record` lists the eliminations in order as pairs (g, value): input
+    generator g (1-based) equals `value`, a word over the generators still
+    present when g was eliminated.  `kept` lists the surviving input
+    generators in the order of the output's generators.  Both stay valid
+    when a budget cuts the simplification short.
+    """
+
     presentation: GroupPresentation
     complete: bool
     eliminations: int
+    record: tuple[tuple[int, Word], ...]
+    kept: tuple[int, ...]
+
+    def image(self, word: Sequence[int]) -> Word:
+        """A word over the input generators rewritten as an equal, freely
+        reduced word over the output generators."""
+        w = free_reduce(word)
+        for g, value in self.record:
+            if g in w or -g in w:
+                w = tuple(_substitute(w, g, value, invert_word(value)))
+        renum = {g: i + 1 for i, g in enumerate(self.kept)}
+        return tuple(renum[x] if x > 0 else -renum[-x] for x in w)
+
+    def quotient(self, words: Iterable[Sequence[int]]) -> GroupPresentation:
+        """The output presentation with the images of `words` (over the
+        input generators) adjoined as relators; an empty image adds none."""
+        q = self.presentation
+        extra = tuple(w for w in map(self.image, words) if w)
+        return GroupPresentation(q.generators, q.relators + extra)
 
 
 def tietze_simplify(
@@ -330,69 +368,96 @@ def tietze_simplify(
 ) -> SimplifyResult:
     """Deterministic elimination loop.
 
-    Moves, applied to the lexicographically least eliminable generator:
-    a generator equal to 1 (length-1 relator), a generator equal to another
-    generator or its inverse (length-2 relator on two distinct generators),
-    a generator occurring exactly once in exactly one relator (the relator
-    is solved for it and discarded), and, when nothing else applies, a
-    generator with a single occurrence in some relator (that relator is
-    solved for it and the value substituted everywhere).  Every move
-    removes a generator, so the loop terminates.  Relators are kept freely
-    and cyclically reduced and deduplicated up to rotation and inversion.
-    The output presents a group isomorphic to the input's.
+    Moves, applied to the least eliminable generator in the order of
+    (name, index): a generator equal to 1 (length-1 relator), a generator
+    equal to another generator or its inverse (length-2 relator on two
+    distinct generators), a generator occurring exactly once in exactly one
+    relator (the relator is solved for it and discarded), and, when nothing
+    else applies, a generator with a single occurrence in some relator
+    (that relator is solved for it and the value substituted everywhere).
+    Every move removes a generator, so the loop terminates.  Relators are
+    kept freely and cyclically reduced and deduplicated up to rotation and
+    inversion.  The output presents a group isomorphic to the input's.
+
+    The counts that decide the first three moves are kept per generator
+    and updated as relators come and go, and the next generator comes off
+    a lazy heap of name ranks, so an elimination costs work in proportion
+    to the relators it touches (the bookkeeping of Havas, Kenne,
+    Richardson and Robertson, "A Tietze transformation program", 1984).
     """
-    names = list(p.generators)
+    names = p.generators
+    n = len(names)
+    order = sorted(range(1, n + 1), key=lambda g: (names[g - 1], g))
+    rank = [0] * (n + 1)
+    for r, g in enumerate(order):
+        rank[g] = r
     store: dict[Word, Word] = {}
-    occ: dict[int, int] = {}
-    by_gen: dict[int, set[Word]] = {}
+    occ = [0] * (n + 1)
+    len1 = [0] * (n + 1)  # length-1 relators on g
+    len2 = [0] * (n + 1)  # length-2 relators on g and another generator
+    by_gen: list[set[Word]] = [set() for _ in range(n + 1)]
+    # Name ranks of generators that may be eliminable by the first three
+    # moves; stale entries are dropped when they reach the top.
+    heap: list[int] = []
 
     def add(w: Word) -> None:
-        key = relator_key(w)
-        if not key or key in store:
+        """Store w, which must be cyclically reduced."""
+        if not w:
+            return
+        key = _rotation_key(w)
+        if key in store:
             return
         store[key] = w
         for x in w:
-            occ[abs(x)] = occ.get(abs(x), 0) + 1
-            by_gen.setdefault(abs(x), set()).add(key)
+            occ[abs(x)] += 1
+        gens = {abs(x) for x in w}
+        for a in gens:
+            by_gen[a].add(key)
+            if occ[a] == 1:
+                heappush(heap, rank[a])
+        if len(w) == 1:
+            len1[abs(w[0])] += 1
+            heappush(heap, rank[abs(w[0])])
+        elif len(w) == 2 and len(gens) == 2:
+            for a in gens:
+                len2[a] += 1
+                heappush(heap, rank[a])
 
     def remove(key: Word) -> Word:
         w = store.pop(key)
         for x in w:
             occ[abs(x)] -= 1
-        gens_in = {abs(x) for x in w}
-        for g in gens_in:
-            by_gen[g].discard(key)
+        gens = {abs(x) for x in w}
+        for a in gens:
+            by_gen[a].discard(key)
+            if occ[a] == 1:
+                heappush(heap, rank[a])
+        if len(w) == 1:
+            len1[abs(w[0])] -= 1
+        elif len(w) == 2 and len(gens) == 2:
+            for a in gens:
+                len2[a] -= 1
         return w
 
     for w in p.relators:
         add(cyclic_reduce(w))
 
-    eliminations = 0
-    alive = set(range(1, len(names) + 1))
-
+    record: list[tuple[int, Word]] = []
     while True:
-        if budget is not None and eliminations >= budget:
-            return _finish(names, alive, store, False, eliminations)
-        candidates: dict[int, int] = {}  # gen -> move rank (0 best)
-        for key, w in store.items():
-            if len(w) == 1:
-                g = abs(w[0])
-                if candidates.get(g, 9) > 0:
-                    candidates[g] = 0
-            elif len(w) == 2 and abs(w[0]) != abs(w[1]):
-                for x in w:
-                    g = abs(x)
-                    if candidates.get(g, 9) > 1:
-                        candidates[g] = 1
-        for g, cnt in occ.items():
-            if cnt == 1 and g not in candidates:
-                candidates[g] = 2
-        general: tuple | None = None
-        if not candidates:
+        if budget is not None and len(record) >= budget:
+            return _finish(names, store, record, False)
+        drop = None
+        while heap:
+            g = order[heap[0]]
+            if len1[g] or len2[g] or occ[g] == 1:
+                break
+            heappop(heap)
+        else:
             # General elimination: a single occurrence inside some relator.
             # Choose the substitution with the least growth of total relator
             # length (ties by length, then names) rather than by generator
             # name alone: name-first choices can wedge the collapse.
+            general: tuple | None = None
             for key, w in store.items():
                 counts: dict[int, int] = {}
                 for x in w:
@@ -404,69 +469,78 @@ def tietze_simplify(
                     cand = (delta, len(w), names[g - 1], key, g)
                     if general is None or cand < general:
                         general = cand
-        if not candidates and general is None:
-            return _finish(names, alive, store, True, eliminations)
-        if candidates:
-            g = min(candidates, key=lambda x: names[x - 1])
-            move = candidates[g]
-        else:
-            g = general[4]
-            move = 3
-        if move == 0:
-            drop = min(k for k in by_gen[g] if len(store[k]) == 1)
-            repl: Word | None = ()
-        elif move == 1:
+            if general is None:
+                return _finish(names, store, record, True)
+            g, drop = general[4], general[3]
+        if drop is not None:
+            value = _solve(store[drop], g)
+        elif len1[g]:
+            drop = (-g,)  # the key of both (g,) and (-g,)
+            value = ()
+        elif len2[g]:
             drop = min(
-                k
-                for k in by_gen[g]
-                if len(store[k]) == 2 and abs(store[k][0]) != abs(store[k][1])
+                k for k in by_gen[g] if len(k) == 2 and abs(k[0]) != abs(k[1])
             )
             w = store[drop]
             pos = 0 if abs(w[0]) == g else 1
             x, y = w[pos], w[1 - pos]
-            repl = (-y,) if x > 0 else (y,)
-        elif move == 2:
-            drop = min(by_gen[g])
-            repl = None
+            value = (-y,) if x > 0 else (y,)
         else:
-            drop = general[3]
-            w = store[drop]
-            idx = next(i for i, x in enumerate(w) if abs(x) == g)
-            gamma = w[idx + 1 :] + w[:idx]
-            repl = invert_word(gamma) if w[idx] > 0 else gamma
+            (drop,) = by_gen[g]
+            value = _solve(store[drop], g)
         remove(drop)
-        alive.discard(g)
-        eliminations += 1
-        if repl is not None:
-            affected = sorted(by_gen.get(g, ()))
-            for key in affected:
-                old = remove(key)
-                add(cyclic_reduce(_substitute(old, g, repl)))
+        record.append((g, value))
+        inv = invert_word(value)
+        for key in sorted(by_gen[g]):
+            old = remove(key)
+            add(_cyclic_strip(_substitute(old, g, value, inv)))
 
 
-def _substitute(w: Word, g: int, repl: Word) -> Word:
+def _substitute(w: Word, g: int, value: Word, inverse: Word) -> list[int]:
+    """w with g replaced by value and g^-1 by inverse, freely reduced in
+    the same pass."""
     out: list[int] = []
     for x in w:
         if x == g:
-            out.extend(repl)
+            seq = value
         elif x == -g:
-            out.extend(invert_word(repl))
+            seq = inverse
         else:
-            out.append(x)
-    return free_reduce(out)
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+            continue
+        for y in seq:
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    return out
 
 
-def _finish(names, alive, relators, complete, eliminations) -> SimplifyResult:
-    keep = sorted(alive)
-    renum = {g: i + 1 for i, g in enumerate(keep)}
-    new_gens = tuple(names[g - 1] for g in keep)
+def _solve(w: Word, g: int) -> Word:
+    """The value of g given by relator w, in which g occurs once."""
+    i = next(i for i, x in enumerate(w) if abs(x) == g)
+    rest = w[i + 1 :] + w[:i]
+    return invert_word(rest) if w[i] > 0 else rest
+
+
+def _finish(names, store, record, complete) -> SimplifyResult:
+    gone = {g for g, _ in record}
+    kept = tuple(g for g in range(1, len(names) + 1) if g not in gone)
+    renum = {g: i + 1 for i, g in enumerate(kept)}
     new_rels = []
-    for w in relators.values():
+    for w in store.values():
         assert all(abs(x) in renum for x in w)
         new_rels.append(tuple(renum[abs(x)] * (1 if x > 0 else -1) for x in w))
     new_rels.sort(key=lambda w: (len(w), w))
     return SimplifyResult(
-        GroupPresentation(new_gens, tuple(new_rels)), complete, eliminations
+        GroupPresentation(tuple(names[g - 1] for g in kept), tuple(new_rels)),
+        complete,
+        len(record),
+        tuple(record),
+        kept,
     )
 
 

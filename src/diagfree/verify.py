@@ -298,8 +298,9 @@ def criterion_10() -> CriterionResult:
     ok = True
     for n in (2, 3, 4):
         pres = _ig_presentation(n, 0)
-        simp = tietze_simplify(pres).presentation
-        v = identify(pres)
+        res = tietze_simplify(pres)
+        simp = res.presentation
+        v = identify(pres, simplified=res)
         good = (
             len(simp.generators) == 1
             and not simp.relators
@@ -321,25 +322,22 @@ def criterion_11() -> CriterionResult:
     for h, n, r in cases:
         d = dclass("pn", n, r)
         pres = _ig_presentation(n, r)
-        simp = tietze_simplify(pres).presentation
-        ab = abelianization(simp)
+        simp = tietze_simplify(pres)
+        ab = abelianization(simp.presentation)
         expected_torsion = () if r <= 1 else (2,)
         lc = check_label_homomorphism(pres, _labels_for(h, d))
         t_choices = p1_projections(n, r)[:2]
         orders = []
         for t in t_choices:
             name = gen_name_for_idempotent(h, t)
-            qp = GroupPresentation(
-                pres.generators, pres.relators + ((pres.gen_index(name) + 1,),)
-            )
-            ct = todd_coxeter(tietze_simplify(qp).presentation)
+            ct = todd_coxeter(simp.quotient([(pres.gen_index(name) + 1,)]))
             orders.append(ct.order)
         hints = IdentifyHints(
             rank=r,
             labels=_labels_for(h, d),
             quotient_generators=(gen_name_for_idempotent(h, t_choices[0]),),
         )
-        v = identify(pres, hints)
+        v = identify(pres, hints, simplified=simp)
         partial_ok = (v.kind == "z_cross_finite" and v.certification == "partial") or (
             r == 1 and v.kind == "free" and v.rank == 1
         )

@@ -151,7 +151,14 @@ def test_identify_unknown_carries_evidence():
     p = GroupPresentation(("t", "x"), ((2, 2), (1, 2, -1, -2)))
     v = identify(p)
     assert v.kind == "unknown"
+    assert v.evidence[0] == "simplified to 2 generators, 2 relators in 0 eliminations"
     assert any("abelianization" in line for line in v.evidence)
+    capped = identify(
+        GroupPresentation(("a", "b"), ((1,), (2, 2))), IdentifyHints(simplify_budget=1)
+    )
+    assert capped.evidence[0] == (
+        "simplified to 1 generators, 1 relators in 1 eliminations (budget exhausted)"
+    )
 
 
 def test_verdict_json():
