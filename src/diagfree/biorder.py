@@ -280,26 +280,6 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
     return entries
 
 
-def brute_force_singular_squares(d: DClassData) -> set[tuple]:
-    """Independent oracle: try every 4-tuple grid and every idempotent u
-    against the raw orientation equations.  Returns dedup keys."""
-    h = d.handle
-    keys = set()
-    for i, k, j, l in _square_candidates(d):
-        sq = Square(
-            d.e_of_pair[(i, j)],
-            d.e_of_pair[(i, l)],
-            d.e_of_pair[(k, j)],
-            d.e_of_pair[(k, l)],
-        )
-        for u in h.idempotents():
-            for orient in ORIENTATIONS:
-                if _CHECKS[orient](h, sq, u):
-                    oclass = "horizontal" if orient in HORIZONTAL else "vertical"
-                    keys.add(((i, k), (j, l), oclass))
-    return keys
-
-
 # -- linked diamonds / triangles / pairs --------------------------------------
 
 

@@ -1,21 +1,18 @@
 """Command-line front end: stats, presentations, identification, square and
 graph dumps, and the acceptance suite.
 
-Exit codes: 0 ok, 1 acceptance failure, 2 usage error.  D-class and square
-data are cached as versioned JSON keyed by (monoid, n, rank, code version);
-the cache directory comes from --cache-dir, then $DIAGFREE_CACHE_DIR, then
-~/.cache/diagfree.
+Exit codes: 0 ok, 1 acceptance failure, 2 usage error.  Every command
+recomputes its D-class and squares; nothing is written to disk except -o
+files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-from . import __version__
 from .biorder import (
     SquareEntry,
     enumerate_linked_diamonds,
@@ -30,7 +27,7 @@ from .diagram import (
     PartitionMonoid,
     TransformationMonoid,
 )
-from .green import DClassData, dclass_data, dclass_from_doc, dclass_to_doc
+from .green import DClassData, dclass_data
 from .ghgraph import (
     build_gh_graph,
     friendliness_tree,
@@ -59,18 +56,6 @@ from .present import (
     to_json_doc,
     tietze_simplify,
 )
-
-CACHE_SCHEMA = 1
-
-
-def cache_dir(args) -> Path:
-    if getattr(args, "cache_dir", None):
-        return Path(args.cache_dir)
-    env = os.environ.get("DIAGFREE_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "diagfree"
-
 
 def make_handle(args) -> FiniteStarSemigroup:
     kind = args.monoid.lower()
@@ -111,27 +96,10 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
-def _cache_key(h: FiniteStarSemigroup, rank, what: str) -> str:
-    tag = h.describe().replace("(", "_").replace(")", "").replace(" ", "")
-    return f"{tag}-r{rank}-{what}-v{CACHE_SCHEMA}.{__version__}.json"
-
-
-def load_dclass(args, h: FiniteStarSemigroup, rank) -> DClassData:
-    if isinstance(h, AdjacencySemigroup) or getattr(args, "no_cache", False):
-        return dclass_data(h, rank)
-    path = cache_dir(args) / _cache_key(h, rank, "dclass")
-    if path.exists():
-        return dclass_from_doc(h, json.loads(path.read_text()))
-    d = dclass_data(h, rank)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(dclass_to_doc(d), indent=2, sort_keys=True))
-    return d
-
-
 def squares_to_doc(d: DClassData, squares: list[SquareEntry]) -> dict:
     h = d.handle
     return {
-        "version": CACHE_SCHEMA,
+        "version": 1,
         "monoid": h.describe(),
         "rank": d.rank,
         "squares": [
@@ -146,38 +114,6 @@ def squares_to_doc(d: DClassData, squares: list[SquareEntry]) -> dict:
             for s in squares
         ],
     }
-
-
-def squares_from_doc(d: DClassData, doc: dict) -> list[SquareEntry]:
-    from .biorder import Square
-
-    h = d.handle
-    out = []
-    for item in doc["squares"]:
-        corners = [h.parse(s) for s in item["corners"]]
-        out.append(
-            SquareEntry(
-                tuple(item["rows"]),
-                tuple(item["cols"]),
-                item["oclass"],
-                Square(*corners),
-                item["orientation"],
-                h.parse(item["witness"]),
-            )
-        )
-    return out
-
-
-def load_squares(args, h, rank, d: DClassData) -> list[SquareEntry]:
-    if isinstance(h, AdjacencySemigroup) or getattr(args, "no_cache", False):
-        return enumerate_singular_squares(d)
-    path = cache_dir(args) / _cache_key(h, rank, "squares")
-    if path.exists():
-        return squares_from_doc(d, json.loads(path.read_text()))
-    sq = enumerate_singular_squares(d)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(squares_to_doc(d, sq), indent=2, sort_keys=True))
-    return sq
 
 
 def pick_tree(args, h, d: DClassData) -> TreeSet:
@@ -201,17 +137,17 @@ def pick_tree(args, h, d: DClassData) -> TreeSet:
     if kind == "fc":
         return t_fc(n, r)
     if kind == "s":
+        if not 1 <= r <= n - 2:
+            raise ValueError("t_s requires 1 <= r <= n-2")
         return t_s(n, r, p0_projections(n, r)[0])
     if kind == "pg":
-        if r is not None and 1 <= r <= n - 2:
-            return t_pg(n, r)
-        return spanning_tree_with_projections(g)
+        return pg_tree(h, d)
     if kind == "rank0":
         return t_rank0(n)
     raise SystemExit2(f"unknown tree kind {kind!r}")
 
 
-def pg_tree(args, h, d: DClassData) -> TreeSet:
+def pg_tree(h, d: DClassData) -> TreeSet:
     n, r = getattr(h, "n", None), d.rank
     if (
         not isinstance(h, AdjacencySemigroup)
@@ -227,7 +163,7 @@ def pg_tree(args, h, d: DClassData) -> TreeSet:
 
 def cmd_stats(args) -> int:
     h = make_handle(args)
-    d = load_dclass(args, h, args.rank)
+    d = dclass_data(h, args.rank)
     g = build_gh_graph(d)
     print(f"monoid: {h.describe()}  rank: {d.rank}")
     print(f"|D| = {d.size}")
@@ -242,19 +178,14 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _ig_presentation(args, h, d, squares):
-    tree = pick_tree(args, h, d)
-    return presn_ig(d, tree, squares)
-
-
 def _family_presentation(args, h, d):
     family = args.family
     if family == "ig":
-        squares = load_squares(args, h, d.rank, d)
+        squares = enumerate_singular_squares(d)
         return presn_ig(d, pick_tree(args, h, d), squares)
     if family == "pg":
-        squares = load_squares(args, h, d.rank, d)
-        return presn_pg_squares(d, pg_tree(args, h, d), squares)
+        squares = enumerate_singular_squares(d)
+        return presn_pg_squares(d, pg_tree(h, d), squares)
     if family == "pg-linked":
         diamonds = enumerate_linked_diamonds(d)
         return presn_pg_linked(d, diamonds, friendliness_tree(d, 0))
@@ -266,7 +197,7 @@ def _family_presentation(args, h, d):
 
 def cmd_presentation(args) -> int:
     h = make_handle(args)
-    d = load_dclass(args, h, args.rank)
+    d = dclass_data(h, args.rank)
     pres = _family_presentation(args, h, d)
     if args.simplify:
         pres = tietze_simplify(pres).presentation
@@ -285,7 +216,7 @@ def cmd_presentation(args) -> int:
 
 def cmd_identify(args) -> int:
     h = make_handle(args)
-    d = load_dclass(args, h, args.rank)
+    d = dclass_data(h, args.rank)
     pres = _family_presentation(args, h, d)
     hints = IdentifyHints(max_cosets=args.max_cosets)
     r = d.rank
@@ -317,8 +248,8 @@ def cmd_identify(args) -> int:
 
 def cmd_squares(args) -> int:
     h = make_handle(args)
-    d = load_dclass(args, h, args.rank)
-    doc = squares_to_doc(d, load_squares(args, h, d.rank, d))
+    d = dclass_data(h, args.rank)
+    doc = squares_to_doc(d, enumerate_singular_squares(d))
     if args.diamonds:
         diamonds = enumerate_linked_diamonds(d)
         doc["diamonds"] = [
@@ -341,7 +272,7 @@ def cmd_squares(args) -> int:
 
 def cmd_graph(args) -> int:
     h = make_handle(args)
-    d = load_dclass(args, h, args.rank)
+    d = dclass_data(h, args.rank)
     g = build_gh_graph(d)
     tree = pick_tree(args, h, d) if args.tree else None
     out = gh_to_dot(g, tree)
@@ -384,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", help="edge-list file for adjacency semigroups")
         p.add_argument("--allow-large", action="store_true",
                        help="override the default degree cap")
-        p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--cache-dir", help="cache directory override")
 
     p = sub.add_parser("stats", help="D-class statistics")
     common(p)

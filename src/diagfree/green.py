@@ -32,33 +32,35 @@ def _is_partition_like(h: FiniteStarSemigroup) -> bool:
 def r_related(h: FiniteStarSemigroup, a, b) -> bool:
     if _is_partition_like(h):
         return a.dom() == b.dom() and a.ker() == b.ker()
-    return _right_ideal(h, a) == _right_ideal(h, b)
+    return right_ideal(h, a) == right_ideal(h, b)
 
 
 def l_related(h: FiniteStarSemigroup, a, b) -> bool:
     if _is_partition_like(h):
         return a.codom() == b.codom() and a.coker() == b.coker()
-    return _left_ideal(h, a) == _left_ideal(h, b)
+    return left_ideal(h, a) == left_ideal(h, b)
 
 
 def d_related(h: FiniteStarSemigroup, a, b) -> bool:
     if _is_partition_like(h):
         return a.rank() == b.rank()
     # D = R o L in a finite semigroup
-    ra = _right_ideal(h, a)
+    ra = right_ideal(h, a)
     for c in h.elements():
-        if _right_ideal(h, c) == ra and _left_ideal(h, c) == _left_ideal(h, b):
+        if right_ideal(h, c) == ra and left_ideal(h, c) == left_ideal(h, b):
             return True
     return False
 
 
-def _right_ideal(h: FiniteStarSemigroup, a) -> frozenset:
+def right_ideal(h: FiniteStarSemigroup, a) -> frozenset:
+    """The principal right ideal a S^1."""
     out = {a}
     out.update(h.product(a, s) for s in h.elements())
     return frozenset(out)
 
 
-def _left_ideal(h: FiniteStarSemigroup, a) -> frozenset:
+def left_ideal(h: FiniteStarSemigroup, a) -> frozenset:
+    """The principal left ideal S^1 a."""
     out = {a}
     out.update(h.product(s, a) for s in h.elements())
     return frozenset(out)
@@ -66,20 +68,11 @@ def _left_ideal(h: FiniteStarSemigroup, a) -> frozenset:
 
 def r_related_ideal(h: FiniteStarSemigroup, a, b) -> bool:
     """Principal-ideal definition, as an independent oracle."""
-    return _right_ideal(h, a) == _right_ideal(h, b)
+    return right_ideal(h, a) == right_ideal(h, b)
 
 
 def l_related_ideal(h: FiniteStarSemigroup, a, b) -> bool:
-    return _left_ideal(h, a) == _left_ideal(h, b)
-
-
-def d_related_ideal(h: FiniteStarSemigroup, a, b) -> bool:
-    ra = _right_ideal(h, a)
-    lb = _left_ideal(h, b)
-    return any(
-        _right_ideal(h, c) == ra and _left_ideal(h, c) == lb
-        for c in h.elements()
-    )
+    return left_ideal(h, a) == left_ideal(h, b)
 
 
 # -- D-class data -----------------------------------------------------------
@@ -104,8 +97,8 @@ class DClassData:
     idempotents: list          # E_D in canonical order
     friendly: set[tuple[int, int]]
     e_of_pair: dict[tuple[int, int], Any]
+    elements: list
     strata: dict[tuple[int, int], list] = field(default_factory=dict)
-    elements: list | None = None
 
     @property
     def is_star(self) -> bool:
@@ -148,7 +141,7 @@ class DClassData:
         return self._eindex[e]
 
     def finish(self) -> "DClassData":
-        """Build the lookup dictionaries; called after construction/load."""
+        """Build the lookup dictionaries; called once by `dclass_data`."""
         self._pindex = {p: i for i, p in enumerate(self.projections)}
         self._lindex = {q: j for j, q in enumerate(self.lreps)}
         self._eindex = {e: k for k, e in enumerate(self.idempotents)}
@@ -244,53 +237,3 @@ def sandwich_set(h: FiniteStarSemigroup, e, f) -> list:
         if h.product(h.product(e, x), f) == ef and h.product(h.product(f, x), e) == x:
             out.append(x)
     return out
-
-
-# -- serialization -----------------------------------------------------------
-
-DCLASS_SCHEMA_VERSION = 1
-
-
-def dclass_to_doc(d: DClassData) -> dict:
-    """Versioned JSON-ready document (star handles only)."""
-    if not d.is_star:
-        raise ValueError("only star handles serialize to the D-class schema")
-    h = d.handle
-    return {
-        "version": DCLASS_SCHEMA_VERSION,
-        "monoid": h.describe(),
-        "rank": d.rank,
-        "size": d.size,
-        "projections": [h.text(p) for p in d.projections],
-        "idempotents": [h.text(e) for e in d.idempotents],
-        "friendly": sorted(map(list, d.friendly)),
-        "strata": {
-            f"{k},{l}": [d.idempotent_index(e) for e in es]
-            for (k, l), es in sorted(d.strata.items())
-        },
-    }
-
-
-def dclass_from_doc(h: FiniteStarSemigroup, doc: dict) -> DClassData:
-    if doc.get("version") != DCLASS_SCHEMA_VERSION:
-        raise ValueError("unsupported D-class document version")
-    projections = [h.parse(s) for s in doc["projections"]]
-    idem = [h.parse(s) for s in doc["idempotents"]]
-    d = DClassData(
-        handle=h,
-        rank=doc["rank"],
-        size=doc["size"],
-        projections=projections,
-        lreps=projections,
-        idempotents=idem,
-        friendly={tuple(p) for p in doc["friendly"]},
-        e_of_pair={},
-        elements=None,
-    )
-    d.finish()
-    for pair in d.friendly:
-        d.e_of_pair[pair] = h.product(projections[pair[0]], projections[pair[1]])
-    for key, idxs in doc["strata"].items():
-        k, l = map(int, key.split(","))
-        d.strata[(k, l)] = [idem[i] for i in idxs]
-    return d

@@ -33,7 +33,7 @@ from .diagram import (
     multiply_with_floats,
     partition_from_blocks,
 )
-from .green import dclass_data
+from .green import dclass_data, left_ideal, right_ideal
 from .ghgraph import (
     build_gh_graph,
     friendliness_tree,
@@ -42,6 +42,7 @@ from .ghgraph import (
     p1_projections,
     spanning_tree_bfs,
     spanning_tree_with_projections,
+    t_pg,
     t_rank0,
     t_s,
 )
@@ -141,30 +142,10 @@ def criterion_2() -> CriterionResult:
 def criterion_3() -> CriterionResult:
     h = monoid("pn", 3)
     elems = h.elements()
-    rid = {}
-    lid = {}
-    for a in elems:
-        rid[a] = frozenset([a] + [multiply(a, s) for s in elems])
-        lid[a] = frozenset([a] + [multiply(s, a) for s in elems])
-    # D oracle: join of the R- and L-partitions via union-find over indices
-    idx = {a: i for i, a in enumerate(elems)}
-    parent = list(range(len(elems)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for keymap in (rid, lid):
-        buckets = {}
-        for a in elems:
-            buckets.setdefault(keymap[a], []).append(idx[a])
-        for group in buckets.values():
-            for other in group[1:]:
-                ra, rb = find(group[0]), find(other)
-                if ra != rb:
-                    parent[rb] = ra
+    rid = {a: right_ideal(h, a) for a in elems}
+    lid = {a: left_ideal(h, a) for a in elems}
+    # D oracle: D = R o L, so a D b iff some c has c R a and c L b
+    rl = {(rid[c], lid[c]) for c in elems}
     bad = 0
     for a in elems:
         for b in elems:
@@ -172,7 +153,7 @@ def criterion_3() -> CriterionResult:
                 bad += 1
             if ((a.codom() == b.codom() and a.coker() == b.coker()) != (lid[a] == lid[b])):
                 bad += 1
-            if ((a.rank() == b.rank()) != (find(idx[a]) == find(idx[b]))):
+            if ((a.rank() == b.rank()) != ((rid[a], lid[b]) in rl)):
                 bad += 1
     return CriterionResult(
         3, "Green's relations fast path vs ideal oracle on P_3", bad == 0,
@@ -242,15 +223,9 @@ def criterion_7() -> CriterionResult:
 def _pg_sr_case(n: int, r: int):
     h = monoid("pn", n)
     d = dclass("pn", n, r)
-    pres = presn_pg_squares(d, _pg_tree(n, r), squares("pn", n, r))
+    pres = presn_pg_squares(d, t_pg(n, r), squares("pn", n, r))
     hints = IdentifyHints(rank=r, labels=_labels_for(h, d))
     return identify(pres, hints)
-
-
-def _pg_tree(n: int, r: int):
-    from .ghgraph import t_pg
-
-    return t_pg(n, r)
 
 
 def criterion_8(include_slow: bool = False) -> CriterionResult:

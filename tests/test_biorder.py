@@ -5,9 +5,10 @@ import hashlib
 import pytest
 
 from diagfree.biorder import (
+    HORIZONTAL,
     Square,
+    _square_candidates,
     _WitnessIndex,
-    brute_force_singular_squares,
     enumerate_linked_diamonds,
     enumerate_singular_squares,
     f_set,
@@ -72,6 +73,25 @@ def test_derived_ud_square_from_linked_diamond():
         f = multiply(dia.s, dia.w)
         vw = multiply(dia.v, dia.w)
         assert is_ud_singular(P3, Square(e, f, dia.v, vw), dia.p)
+
+
+def brute_force_singular_squares(d):
+    """Independent oracle: try every 4-tuple grid and every idempotent u
+    against the raw orientation equations.  Returns dedup keys."""
+    h = d.handle
+    keys = set()
+    for i, k, j, l in _square_candidates(d):
+        sq = Square(
+            d.e_of_pair[(i, j)],
+            d.e_of_pair[(i, l)],
+            d.e_of_pair[(k, j)],
+            d.e_of_pair[(k, l)],
+        )
+        for u in h.idempotents():
+            for orient in witness_orientations(h, sq, u):
+                oclass = "horizontal" if orient in HORIZONTAL else "vertical"
+                keys.add(((i, k), (j, l), oclass))
+    return keys
 
 
 def test_enumerate_matches_brute_force_d31():

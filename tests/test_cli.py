@@ -1,4 +1,4 @@
-"""CLI behaviour: commands, exports, caching, determinism, exit codes."""
+"""CLI behaviour: commands, exports, determinism, exit codes."""
 
 import json
 from pathlib import Path
@@ -16,125 +16,87 @@ def run(capsys, *argv):
     return code, out
 
 
-def test_stats_counts(tmp_path, capsys):
-    code, out = run(
-        capsys, "stats", "--monoid", "pn", "--n", "4", "--rank", "3",
-        "--cache-dir", str(tmp_path),
-    )
+def test_stats_counts(capsys):
+    code, out = run(capsys, "stats", "--monoid", "pn", "--n", "4", "--rank", "3")
     assert code == 0
     assert "|P_D| = 10" in out and "|E_D| = 34" in out
 
 
-def test_stats_p3_r2(tmp_path, capsys):
-    code, out = run(
-        capsys, "stats", "--monoid", "pn", "--n", "3", "--rank", "2",
-        "--cache-dir", str(tmp_path),
-    )
+def test_stats_p3_r2(capsys):
+    code, out = run(capsys, "stats", "--monoid", "pn", "--n", "3", "--rank", "2")
     assert code == 0
     assert "|P_D| = 6" in out and "|E_D| = 18" in out
 
 
-def test_stats_brauer(tmp_path, capsys):
-    code, out = run(
-        capsys, "stats", "--monoid", "brauer", "--n", "4", "--rank", "0",
-        "--cache-dir", str(tmp_path),
-    )
+def test_stats_brauer(capsys):
+    code, out = run(capsys, "stats", "--monoid", "brauer", "--n", "4", "--rank", "0")
     assert code == 0
     assert "|P_D| = 3" in out and "|E_D| = 9" in out
 
 
-def test_identify_ig_rank0(tmp_path, capsys):
-    code, out = run(
-        capsys, "identify", "--family", "ig", "--n", "3", "--rank", "0",
-        "--cache-dir", str(tmp_path),
-    )
+def test_identify_ig_rank0(capsys):
+    code, out = run(capsys, "identify", "--family", "ig", "--n", "3", "--rank", "0")
     assert code == 0
     assert "Z (free rank 1)" in out
 
 
-def test_identify_pg_linked_rank0(tmp_path, capsys):
+def test_identify_pg_linked_rank0(capsys):
     code, out = run(
         capsys, "identify", "--family", "pg-linked", "--n", "3", "--rank", "0",
-        "--cache-dir", str(tmp_path),
     )
     assert code == 0
     assert "trivial" in out
 
 
-def test_identify_pg_42_certified(tmp_path, capsys):
-    code, out = run(
-        capsys, "identify", "--family", "pg", "--n", "4", "--rank", "2",
-        "--cache-dir", str(tmp_path),
-    )
+def test_identify_pg_42_certified(capsys):
+    code, out = run(capsys, "identify", "--family", "pg", "--n", "4", "--rank", "2")
     assert code == 0
     assert "S_2 (order 2, certified)" in out
 
 
-def test_identify_json_format(tmp_path, capsys):
+def test_identify_json_format(capsys):
     code, out = run(
         capsys, "identify", "--family", "pg-linked", "--n", "2", "--rank", "0",
-        "--format", "json", "--cache-dir", str(tmp_path),
+        "--format", "json",
     )
     doc = json.loads(out)
     assert doc["order"] == 1
 
 
-def test_presentation_golden_ig(tmp_path, capsys):
+def test_presentation_golden_ig(capsys):
     code, out = run(
         capsys, "presentation", "--family", "ig", "--n", "3", "--rank", "1",
-        "--tree", "s", "--cache-dir", str(tmp_path),
+        "--tree", "s",
     )
     assert code == 0
     assert out == (GOLDEN / "ig_p3_r1.txt").read_text()
 
 
-def test_presentation_golden_pg(tmp_path, capsys):
-    code, out = run(
-        capsys, "presentation", "--family", "pg", "--n", "3", "--rank", "1",
-        "--cache-dir", str(tmp_path),
-    )
+def test_presentation_golden_pg(capsys):
+    code, out = run(capsys, "presentation", "--family", "pg", "--n", "3", "--rank", "1")
     assert code == 0
     assert out == (GOLDEN / "pg_p3_r1.txt").read_text()
 
 
-def test_presentation_golden_linked_json(tmp_path, capsys):
+def test_presentation_golden_linked_json(capsys):
     code, out = run(
         capsys, "presentation", "--family", "pg-linked", "--n", "3", "--rank", "0",
-        "--format", "json", "--cache-dir", str(tmp_path),
+        "--format", "json",
     )
     assert json.loads(out) == json.loads((GOLDEN / "pg_linked_p3_r0.json").read_text())
 
 
-def test_presentation_deterministic(tmp_path, capsys):
-    args = (
-        "presentation", "--family", "ig", "--n", "3", "--rank", "0",
-        "--cache-dir", str(tmp_path),
-    )
+def test_presentation_deterministic(capsys):
+    args = ("presentation", "--family", "ig", "--n", "3", "--rank", "0")
     _, out1 = run(capsys, *args)
     _, out2 = run(capsys, *args)
     assert out1 == out2
 
 
-def test_cache_round_trip(tmp_path, capsys):
-    args = (
-        "presentation", "--family", "ig", "--n", "3", "--rank", "1",
-        "--tree", "s", "--cache-dir", str(tmp_path),
-    )
-    _, fresh = run(capsys, *args)
-    cache_files = sorted(p.name for p in tmp_path.iterdir())
-    assert any("dclass" in name for name in cache_files)
-    assert any("squares" in name for name in cache_files)
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    _, cached = run(capsys, *args)
-    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    assert cached == fresh
-    assert before == after
-
-
-def test_squares_dump(tmp_path, capsys):
+def test_squares_dump(capsys):
     code, out = run(
         capsys, "squares", "--monoid", "pn", "--n", "3", "--rank", "1",
-        "--diamonds", "--cache-dir", str(tmp_path),
+        "--diamonds",
     )
     doc = json.loads(out)
     assert doc["squares"] and doc["diamonds"]
@@ -142,10 +104,10 @@ def test_squares_dump(tmp_path, capsys):
     assert set(first) == {"rows", "cols", "oclass", "corners", "orientation", "witness"}
 
 
-def test_graph_dot(tmp_path, capsys):
+def test_graph_dot(capsys):
     code, out = run(
         capsys, "graph", "--monoid", "pn", "--n", "3", "--rank", "2",
-        "--tree", "bfs", "--cache-dir", str(tmp_path),
+        "--tree", "bfs",
     )
     assert code == 0
     assert out.startswith("graph gh {") and "color=red" in out
@@ -156,37 +118,52 @@ def test_adjacency_from_file(tmp_path, capsys):
     graph.write_text("a b\nb c\nc d\nd a\n")
     code, out = run(
         capsys, "identify", "--monoid", "adjacency", "--graph", str(graph),
-        "--family", "pg", "--rank", "0", "--cache-dir", str(tmp_path),
+        "--family", "pg", "--rank", "0",
     )
     assert code == 0
     assert "Z (free rank 1)" in out
 
 
-def test_usage_error_exit_code(tmp_path, capsys):
+def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["stats", "--monoid", "bogus", "--n", "3", "--rank", "1",
-              "--cache-dir", str(tmp_path)])
+        main(["stats", "--monoid", "bogus", "--n", "3", "--rank", "1"])
     assert err.value.code == 2
 
 
-def test_bad_rank_is_error(tmp_path, capsys):
-    code = main(["stats", "--monoid", "pn", "--n", "3", "--rank", "7",
-                 "--cache-dir", str(tmp_path)])
+def test_bad_rank_is_error(capsys):
+    code = main(["stats", "--monoid", "pn", "--n", "3", "--rank", "7"])
     assert code == 2
 
 
-def test_cache_dir_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DIAGFREE_CACHE_DIR", str(tmp_path))
-    code, _ = run(capsys, "stats", "--monoid", "pn", "--n", "3", "--rank", "1")
-    assert code == 0
-    assert any("dclass" in p.name for p in tmp_path.iterdir())
-
-
-def test_identify_ig_31_exact_z(tmp_path, capsys):
-    code, out = run(
-        capsys, "identify", "--family", "ig", "--n", "3", "--rank", "1",
-        "--cache-dir", str(tmp_path),
-    )
+def test_identify_ig_31_exact_z(capsys):
+    code, out = run(capsys, "identify", "--family", "ig", "--n", "3", "--rank", "1")
     assert code == 0
     assert "Z (free rank 1)" in out
     assert "label homomorphism valid=True" in out
+
+
+@pytest.mark.parametrize("argv", (
+    ["presentation", "--family", "ig", "--n", "3", "--rank", "0", "--tree", "s"],
+    ["stats", "--n", "3", "--rank", "1", "--no-cache"],
+    ["stats", "--n", "3", "--rank", "1", "--cache-dir", "cache"],
+), ids=("tree-s-rank0", "no-cache", "cache-dir"))
+def test_bad_input_is_usage_error(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as err:
+        code = err.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", (
+    ["stats", "--n", "3", "--rank", "1"],
+    ["identify", "--family", "ig", "--n", "3", "--rank", "1"],
+    ["squares", "--n", "3", "--rank", "1"],
+), ids=("stats", "identify", "squares"))
+def test_commands_write_nothing(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, *command)
+    assert code == 0 and out
+    assert list(tmp_path.iterdir()) == []

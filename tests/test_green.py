@@ -1,7 +1,7 @@
 """Green's relations, D-class assembly, friendliness, strata, sandwich sets."""
 
-import json
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -15,8 +15,6 @@ from diagfree.diagram import (
 from diagfree.green import (
     EmptyClassError,
     dclass_data,
-    dclass_from_doc,
-    dclass_to_doc,
     d_related,
     h_class_idempotent,
     l_related,
@@ -162,12 +160,12 @@ def test_sandwich_sets():
 def test_sandwich_nonempty_all_pairs_p3():
     h = PartitionMonoid(3)
     E = h.idempotents()
+    mul = lru_cache(maxsize=None)(multiply)
     for e in E:
         for f in E:
-            ef = multiply(e, f)
+            ef = mul(e, f)
             assert any(
-                multiply(multiply(e, x), f) == ef
-                and multiply(multiply(f, x), e) == x
+                mul(mul(e, x), f) == ef and mul(mul(f, x), e) == x
                 for x in E
             ), "regular biordered set must have non-empty sandwich sets"
 
@@ -177,25 +175,12 @@ def test_sandwich_duplicate_evaluation_oracle_p4():
     E = h.idempotents()
     rng = random.Random(99)
     pairs = [(rng.choice(E), rng.choice(E)) for _ in range(100)]
+    mul = lru_cache(maxsize=None)(multiply)
     for e, f in pairs:
         first = sandwich_set(h, e, f)
         second = [
             x
             for x in E
-            if multiply(multiply(e, x), f) == multiply(e, f)
-            and multiply(multiply(f, x), e) == x
+            if mul(mul(e, x), f) == mul(e, f) and mul(mul(f, x), e) == x
         ]
         assert first == second
-
-
-def test_dclass_serialization_round_trip():
-    h = PartitionMonoid(3)
-    d = dclass_data(h, 1)
-    doc = dclass_to_doc(d)
-    blob = json.dumps(doc, indent=2, sort_keys=True)
-    d2 = dclass_from_doc(h, json.loads(blob))
-    blob2 = json.dumps(dclass_to_doc(d2), indent=2, sort_keys=True)
-    assert blob == blob2
-    assert d2.projections == d.projections
-    assert d2.idempotents == d.idempotents
-    assert d2.friendly == d.friendly
