@@ -183,7 +183,11 @@ class _WitnessIndex:
     D-class: u x = x iff u (x x*) = x x*, and dually.
 
     The sets are int bitsets in which bit b stands for pool[b], and the pool
-    is in scan order.  Since p* = p, p u = p holds exactly when u* p = p, so
+    is in scan order.  For an idempotent u, u p = p holds iff p lies in
+    u S^1, which depends only on the R-class of u; in a regular *-semigroup
+    that class holds exactly one projection, q = u u*, and u S^1 = q S^1.
+    So the pool is grouped by q, and q p = p is tested once per distinct q
+    and projection p.  Since p* = p, p u = p holds exactly when u* p = p, so
     each right identity set comes from the left one through the involution.
     """
 
@@ -194,24 +198,30 @@ class _WitnessIndex:
             pool = [u for u in pool if u.rank() >= d.rank]
         self.pool = sorted(pool, key=lambda u: (_nt_of(h, u), h.sort_key(u)))
         bit = {u: 1 << b for b, u in enumerate(self.pool)}
-        star_bit = [bit[h.star(u)] for u in self.pool]
+        # q -> [bits of the pool elements u with u u* = q, bits of their u*]
+        groups: dict[Any, list[int]] = {}
+        for b, u in enumerate(self.pool):
+            s = h.star(u)
+            g = groups.setdefault(h.product(u, s), [0, 0])
+            g[0] |= 1 << b
+            g[1] |= bit[s]
         self.lid: list[int] = []
         self.rid: list[int] = []
         for p in d.projections:
             lid = rid = 0
-            for b, u in enumerate(self.pool):
-                if h.product(u, p) == p:
-                    lid |= 1 << b
-                    rid |= star_bit[b]
+            for q, (lbits, rbits) in groups.items():
+                if h.product(q, p) == p:
+                    lid |= lbits
+                    rid |= rbits
             self.lid.append(lid)
             self.rid.append(rid)
 
-    def scan(self, bits: int) -> Iterator:
-        """The pool elements of a bitset, in scan order."""
-        pool = self.pool
+    @staticmethod
+    def scan(bits: int) -> Iterator[int]:
+        """The pool bits of a bitset, in scan order (lowest first)."""
         while bits:
             low = bits & -bits
-            yield pool[low.bit_length() - 1]
+            yield low.bit_length() - 1
             bits ^= low
 
 
@@ -233,44 +243,68 @@ def _square_candidates(d: DClassData):
 
 def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
     """All non-degenerate singular squares of the D-class, deduplicated by
-    unordered row pair + unordered column pair + orientation class."""
+    unordered row pair + unordered column pair + orientation class.
+
+    Corners are E_D indices.  Each product x u or u x of a corner x and a
+    pool element u is made once per call: a memo maps the int key
+    (E_D index of x) * |pool| + (pool bit of u) to the E_D index of the
+    product, or -1 when the product lies outside E_D.
+    """
     h = d.handle
     widx = _WitnessIndex(d)
-    lid, rid, scan = widx.lid, widx.rid, widx.scan
+    lid, rid, pool, scan = widx.lid, widx.rid, widx.pool, widx.scan
+    E = d.idempotents
+    eindex = d._eindex
+    at = {pair: eindex[e] for pair, e in d.e_of_pair.items()}
+    npool = len(pool)
     p = h.product
+    right: dict[int, int] = {}
+    left: dict[int, int] = {}
+
+    def xu(x: int, b: int) -> int:
+        key = x * npool + b
+        k = right.get(key)
+        if k is None:
+            k = right[key] = eindex.get(p(E[x], pool[b]), -1)
+        return k
+
+    def ux(x: int, b: int) -> int:
+        key = x * npool + b
+        k = left.get(key)
+        if k is None:
+            k = left[key] = eindex.get(p(pool[b], E[x]), -1)
+        return k
+
     entries = []
     for i, k, j, l in _square_candidates(d):
-        e = d.e_of_pair[(i, j)]
-        f = d.e_of_pair[(i, l)]
-        g = d.e_of_pair[(k, j)]
-        hh = d.e_of_pair[(k, l)]
-        sq = Square(e, f, g, hh)
+        e, f, g, hh = at[(i, j)], at[(i, l)], at[(k, j)], at[(k, l)]
+        sq = Square(E[e], E[f], E[g], E[hh])
         # Candidate witnesses: the left/right identity conditions of each
         # orientation reduce to membership in row/column identity sets;
         # only the two remaining equations need products.
         found = None
-        for u in scan(lid[i] & lid[k] & rid[l]):
-            if p(e, u) == f and p(g, u) == hh:
-                found = ("LR", u)
+        for b in scan(lid[i] & lid[k] & rid[l]):
+            if xu(e, b) == f and xu(g, b) == hh:
+                found = ("LR", pool[b])
                 break
         if found is None:
-            for u in scan(lid[i] & lid[k] & rid[j]):
-                if p(f, u) == e and p(hh, u) == g:
-                    found = ("RL", u)
+            for b in scan(lid[i] & lid[k] & rid[j]):
+                if xu(f, b) == e and xu(hh, b) == g:
+                    found = ("RL", pool[b])
                     break
         if found:
             entries.append(
                 SquareEntry((i, k), (j, l), "horizontal", sq, found[0], found[1])
             )
         found = None
-        for u in scan(rid[j] & rid[l] & lid[k]):
-            if p(u, e) == g and p(u, f) == hh:
-                found = ("UD", u)
+        for b in scan(rid[j] & rid[l] & lid[k]):
+            if ux(e, b) == g and ux(f, b) == hh:
+                found = ("UD", pool[b])
                 break
         if found is None:
-            for u in scan(rid[j] & rid[l] & lid[i]):
-                if p(u, g) == e and p(u, hh) == f:
-                    found = ("DU", u)
+            for b in scan(rid[j] & rid[l] & lid[i]):
+                if ux(g, b) == e and ux(hh, b) == f:
+                    found = ("DU", pool[b])
                     break
         if found:
             entries.append(

@@ -128,6 +128,8 @@ def pick_tree(args, h, d: DClassData) -> TreeSet:
         if 1 <= r <= n - 2:
             return t_s(n, r, p0_projections(n, r)[0])
         return spanning_tree_bfs(g)
+    if kind in ("lex", "fd", "fc", "s", "rank0") and (n is None or r is None):
+        raise ValueError(f"--tree {kind} needs a monoid with a degree and a rank")
     if kind == "bfs":
         return spanning_tree_bfs(g)
     if kind == "lex":

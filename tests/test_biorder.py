@@ -116,8 +116,14 @@ def test_adjacency_no_nondegenerate_singular_squares():
 
 @pytest.mark.parametrize(
     "h, r",
-    [(P3, 1), (P4, 2), (AdjacencySemigroup("abc", [("a", "b"), ("b", "c")]), None)],
-    ids=["P3r1", "P4r2", "adjacency"],
+    [
+        (P3, 1),
+        (P4, 2),
+        (AdjacencySemigroup("abc", [("a", "b"), ("b", "c")]), None),
+        (P4, 1),
+        (BrauerMonoid(5), 1),
+    ],
+    ids=["P3r1", "P4r2", "adjacency", "P4r1", "B5r1"],
 )
 def test_witness_index_bits(h, r):
     d = dclass_data(h, r)
@@ -129,7 +135,7 @@ def test_witness_index_bits(h, r):
             assert bool(widx.rid[i] >> b & 1) == (h.product(p, u) == p)
         assert widx.lid[i] >> len(widx.pool) == 0
         assert widx.rid[i] >> len(widx.pool) == 0
-        assert list(widx.scan(widx.lid[i])) == [
+        assert [widx.pool[b] for b in widx.scan(widx.lid[i])] == [
             u for u in widx.pool if h.product(u, p) == p
         ]
 
@@ -138,14 +144,20 @@ def test_witness_index_bits(h, r):
 # the first one found in scan order, so a change to the scan order or to a
 # product shows here even when the set of squares stays the same.
 SQUARE_DIGESTS = {
-    (3, 1): (240, "00d9284522b3c354521ab791d1ad21dcc3588999d9c8ebb653b13ee970e847b9"),
-    (4, 2): (1656, "9f3db39e53c89ae264447f11ab9583a5cdf29cecd41587f3d8b27f65a7d93147"),
+    (PartitionMonoid, 3, 1): (240, "00d9284522b3c354521ab791d1ad21dcc3588999d9c8ebb653b13ee970e847b9"),
+    (PartitionMonoid, 4, 2): (1656, "9f3db39e53c89ae264447f11ab9583a5cdf29cecd41587f3d8b27f65a7d93147"),
+    (PartitionMonoid, 4, 1): (35660, "911f723d9f66e03c588d59fbea8b2fce99e447f4758abf358c4d3988755d42e9"),
+    (BrauerMonoid, 5, 1): (1800, "0d44e2fd5081a502a680b884f77fa6125712d2d16525d1f0d1e1e480106115a4"),
 }
 
 
-@pytest.mark.parametrize("n, r", sorted(SQUARE_DIGESTS))
-def test_square_list_with_witnesses_pinned(n, r):
-    h = PartitionMonoid(n)
+@pytest.mark.parametrize(
+    "monoid, n, r",
+    list(SQUARE_DIGESTS),
+    ids=["3-1", "4-2", "4-1", "B5-1"],
+)
+def test_square_list_with_witnesses_pinned(monoid, n, r):
+    h = monoid(n)
     d = dclass_data(h, r)
     squares = enumerate_singular_squares(d)
     text = "\n".join(
@@ -153,7 +165,25 @@ def test_square_list_with_witnesses_pinned(n, r):
         f"{s.orientation} {h.text(s.u)}"
         for s in squares
     )
-    assert (len(squares), hashlib.sha256(text.encode()).hexdigest()) == SQUARE_DIGESTS[(n, r)]
+    assert (len(squares), hashlib.sha256(text.encode()).hexdigest()) == SQUARE_DIGESTS[(monoid, n, r)]
+
+
+def test_square_search_product_count():
+    """The search at (P_4, 2) makes each product at most once: 1,668 for the
+    witness index and 3,552 in the candidate loop (28,986 without reuse)."""
+    h = PartitionMonoid(4)
+    d = dclass_data(h, 2)
+    calls = 0
+    product = h.product
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return product(x, y)
+
+    h.product = counted
+    assert len(enumerate_singular_squares(d)) == 1656
+    assert calls <= 6000
 
 
 def test_rank0_diamonds_tau_linked():

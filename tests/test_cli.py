@@ -1,6 +1,9 @@
 """CLI behaviour: commands, exports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def c4_graph(tmp_path):
+    graph = tmp_path / "c4.edges"
+    graph.write_text("a b\nb c\nc d\nd a\n")
+    return str(graph)
 
 
 def test_stats_counts(capsys):
@@ -114,14 +123,22 @@ def test_graph_dot(capsys):
 
 
 def test_adjacency_from_file(tmp_path, capsys):
-    graph = tmp_path / "c4.edges"
-    graph.write_text("a b\nb c\nc d\nd a\n")
     code, out = run(
-        capsys, "identify", "--monoid", "adjacency", "--graph", str(graph),
+        capsys, "identify", "--monoid", "adjacency", "--graph", c4_graph(tmp_path),
         "--family", "pg", "--rank", "0",
     )
     assert code == 0
     assert "Z (free rank 1)" in out
+
+
+@pytest.mark.parametrize("kind", ("bfs", "pg", "auto"))
+def test_adjacency_degree_free_trees(kind, tmp_path, capsys):
+    code, out = run(
+        capsys, "graph", "--monoid", "adjacency", "--graph", c4_graph(tmp_path),
+        "--rank", "0", "--tree", kind,
+    )
+    assert code == 0
+    assert out.startswith("graph gh {") and "color=red" in out
 
 
 def test_usage_error_exit_code(capsys):
@@ -142,12 +159,21 @@ def test_identify_ig_31_exact_z(capsys):
     assert "label homomorphism valid=True" in out
 
 
+ADJACENCY_GRAPH = ["graph", "--monoid", "adjacency", "--graph", "C4", "--rank", "0"]
+DEGREE_TREES = ("s", "lex", "fd", "fc", "rank0")
+
+
 @pytest.mark.parametrize("argv", (
     ["presentation", "--family", "ig", "--n", "3", "--rank", "0", "--tree", "s"],
     ["stats", "--n", "3", "--rank", "1", "--no-cache"],
     ["stats", "--n", "3", "--rank", "1", "--cache-dir", "cache"],
-), ids=("tree-s-rank0", "no-cache", "cache-dir"))
-def test_bad_input_is_usage_error(argv, capsys):
+    *(ADJACENCY_GRAPH + ["--tree", kind] for kind in DEGREE_TREES),
+), ids=(
+    "tree-s-rank0", "no-cache", "cache-dir",
+    *(f"adjacency-tree-{kind}" for kind in DEGREE_TREES),
+))
+def test_bad_input_is_usage_error(argv, tmp_path, capsys):
+    argv = [c4_graph(tmp_path) if a == "C4" else a for a in argv]
     try:
         code = main(argv)
     except SystemExit as err:
@@ -167,3 +193,15 @@ def test_commands_write_nothing(command, tmp_path, capsys, monkeypatch):
     code, out = run(capsys, *command)
     assert code == 0 and out
     assert list(tmp_path.iterdir()) == []
+
+
+def test_python_m_diagfree():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diagfree", "stats", "--n", "2", "--rank", "0"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("monoid: P_2  rank: 0")
