@@ -74,17 +74,6 @@ class LinkedDiamond:
         return bool(self.degeneracy())
 
 
-def is_square(h: FiniteStarSemigroup, sq: Square) -> bool:
-    from .green import l_related, r_related
-
-    return (
-        r_related(h, sq.e, sq.f)
-        and r_related(h, sq.g, sq.h)
-        and l_related(h, sq.e, sq.g)
-        and l_related(h, sq.f, sq.h)
-    )
-
-
 # -- orientation equations ---------------------------------------------------
 
 

@@ -57,13 +57,19 @@ from .present import (
     tietze_simplify,
 )
 
+# Names of T_n for --monoid.  T_n has no involution, so the commands that
+# search singular squares or use projections refuse it.
+TN_KINDS = ("tn", "transformation")
+NEEDS_INVOLUTION = ("presentation", "identify", "squares")
+
+
 def make_handle(args) -> FiniteStarSemigroup:
     kind = args.monoid.lower()
     if kind in ("pn", "partition"):
         return PartitionMonoid(args.n, allow_large=args.allow_large)
     if kind == "brauer":
         return BrauerMonoid(args.n, allow_large=args.allow_large)
-    if kind in ("tn", "transformation"):
+    if kind in TN_KINDS:
         return TransformationMonoid(args.n, allow_large=args.allow_large)
     if kind == "adjacency":
         if not args.graph:
@@ -365,6 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.command in NEEDS_INVOLUTION and args.monoid.lower() in TN_KINDS:
+        raise SystemExit2(
+            f"{args.command} needs an involution (the singular-square search "
+            "and the projections use it), and T_n has none"
+        )
     try:
         return args.func(args)
     except SystemExit2:

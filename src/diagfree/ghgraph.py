@@ -35,9 +35,6 @@ class GHGraph:
     def n_right(self) -> int:
         return len(self.dclass.lreps)
 
-    def endpoints(self, e) -> tuple[int, int]:
-        return (self.dclass.r_index_of(e), self.dclass.l_index_of(e))
-
     def adjacency(self) -> dict[int, list[int]]:
         """Adjacency over the fused vertex set: left i -> i, right j -> n_left + j."""
         adj: dict[int, list[int]] = {

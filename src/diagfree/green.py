@@ -137,9 +137,6 @@ class DClassData:
             tuple(sorted(tuple(sorted(c)) for c in a.coker())),
         )
 
-    def idempotent_index(self, e) -> int:
-        return self._eindex[e]
-
     def finish(self) -> "DClassData":
         """Build the lookup dictionaries; called once by `dclass_data`."""
         self._pindex = {p: i for i, p in enumerate(self.projections)}

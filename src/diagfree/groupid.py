@@ -311,12 +311,12 @@ def check_label_homomorphism(
         perms.append(tuple(assignment[name]))
     deg = len(perms[0]) if perms else 0
     ident = tuple(range(deg))
+    inverses = [perm_inv(g) for g in perms]
     failures = []
     for w in p.relators:
         acc = ident
         for x in w:
-            g = perms[abs(x) - 1]
-            acc = perm_compose(acc, g if x > 0 else perm_inv(g))
+            acc = perm_compose(acc, perms[x - 1] if x > 0 else inverses[-x - 1])
         if acc != ident:
             failures.append(p.word_str(w))
             if len(failures) >= 5:

@@ -80,13 +80,26 @@ def relator_key(w: Word) -> Word:
 
 def _rotation_key(w: Word) -> Word:
     """The least rotation of w or of its inverse; w is cyclically reduced
-    and not empty.  Only a rotation that starts with the least letter can
-    be least."""
-    n = len(w)
-    ww = w + w
-    vv = invert_word(ww)
-    m = min(min(w), -max(w))
-    return min([x[i : i + n] for x in (ww, vv) for i in range(n) if x[i] == m])
+    and not empty.  Only a rotation that starts with the least letter m can
+    be least.  m is min(w) or the inverse of max(w); the inverse word
+    contains m only when -m occurs in w, and is built only then."""
+    lo = min(w)
+    hi = max(w)
+    if lo + hi < 0:
+        m, words = lo, (w,)
+    elif lo + hi > 0:
+        m, words = -hi, (invert_word(w),)
+    else:
+        m, words = lo, (w, invert_word(w))
+    best = None
+    for v in words:
+        i = -1
+        for _ in range(v.count(m)):
+            i = v.index(m, i + 1)
+            r = v[i:] + v[:i]
+            if best is None or r < best:
+                best = r
+    return best
 
 
 # -- presentation constructors -------------------------------------------------
@@ -384,6 +397,18 @@ def tietze_simplify(
     a lazy heap of name ranks, so an elimination costs work in proportion
     to the relators it touches (the bookkeeping of Havas, Kenne,
     Richardson and Robertson, "A Tietze transformation program", 1984).
+
+    Cost model.  Loading costs a free and cyclic reduction, a rotation
+    key and a count per letter for each input relator.  After that the
+    time goes to rewrites: each elimination rewrites every relator on the
+    eliminated generator, about a million rewrites each for PG and IG at
+    (P_5, 2), against at most a few dozen general moves, whose scan of
+    every relator is negligible there.  A rewrite is one pass over the
+    relator's letters that substitutes and freely reduces, one rotation
+    key, and three dict operations on keys.  It keeps the relator's id, so
+    the counts and generator sets change only for the value's letters and
+    for letters that cancel; a rewrite in which nothing cancels updates no
+    other generator's bookkeeping.
     """
     names = p.generators
     n = len(names)
@@ -391,61 +416,67 @@ def tietze_simplify(
     rank = [0] * (n + 1)
     for r, g in enumerate(order):
         rank[g] = r
-    store: dict[Word, Word] = {}
+    # The relators by id: the word as first stored and its rotation key,
+    # None once dropped; a rewrite keeps the id.  `index` maps each key
+    # in use to its id.
+    words: list[Word | None] = []
+    keys: list[Word | None] = []
+    index: dict[Word, int] = {}
     occ = [0] * (n + 1)
     len1 = [0] * (n + 1)  # length-1 relators on g
     len2 = [0] * (n + 1)  # length-2 relators on g and another generator
-    by_gen: list[set[Word]] = [set() for _ in range(n + 1)]
+    by_gen: list[set[int]] = [set() for _ in range(n + 1)]  # ids on g
     # Name ranks of generators that may be eliminable by the first three
-    # moves; stale entries are dropped when they reach the top.
+    # moves.  Every change that can make a generator eligible pushes it;
+    # stale entries are dropped when they reach the top.
     heap: list[int] = []
 
-    def add(w: Word) -> None:
-        """Store w, which must be cyclically reduced."""
-        if not w:
-            return
-        key = _rotation_key(w)
-        if key in store:
-            return
-        store[key] = w
-        for x in w:
-            occ[abs(x)] += 1
-        gens = {abs(x) for x in w}
-        for a in gens:
-            by_gen[a].add(key)
-            if occ[a] == 1:
-                heappush(heap, rank[a])
+    def short(w: Word, d: int) -> None:
+        """Add d to the length-1 or length-2 counts of w."""
         if len(w) == 1:
-            len1[abs(w[0])] += 1
-            heappush(heap, rank[abs(w[0])])
-        elif len(w) == 2 and len(gens) == 2:
-            for a in gens:
-                len2[a] += 1
+            a = abs(w[0])
+            len1[a] += d
+            heappush(heap, rank[a])
+        elif len(w) == 2:
+            a, b = abs(w[0]), abs(w[1])
+            if a != b:
+                len2[a] += d
+                len2[b] += d
                 heappush(heap, rank[a])
+                heappush(heap, rank[b])
 
-    def remove(key: Word) -> Word:
-        w = store.pop(key)
+    def uncount(r: int, w: Word) -> None:
+        """Take the letters of w, stored as relator r, out of the counts."""
         for x in w:
-            occ[abs(x)] -= 1
-        gens = {abs(x) for x in w}
-        for a in gens:
-            by_gen[a].discard(key)
-            if occ[a] == 1:
+            a = x if x > 0 else -x
+            c = occ[a] = occ[a] - 1
+            by_gen[a].discard(r)
+            if c == 1:
                 heappush(heap, rank[a])
-        if len(w) == 1:
-            len1[abs(w[0])] -= 1
-        elif len(w) == 2 and len(gens) == 2:
-            for a in gens:
-                len2[a] -= 1
-        return w
 
     for w in p.relators:
-        add(cyclic_reduce(w))
+        w = cyclic_reduce(w)
+        if not w:
+            continue
+        key = _rotation_key(w)
+        if key in index:
+            continue
+        r = index[key] = len(words)
+        words.append(w)
+        keys.append(key)
+        for x in w:
+            a = x if x > 0 else -x
+            c = occ[a] = occ[a] + 1
+            by_gen[a].add(r)
+            if c == 1:
+                heappush(heap, rank[a])
+        if len(w) <= 2:
+            short(w, 1)
 
     record: list[tuple[int, Word]] = []
     while True:
         if budget is not None and len(record) >= budget:
-            return _finish(names, store, record, False)
+            return _finish(names, words, record, False)
         drop = None
         while heap:
             g = order[heap[0]]
@@ -458,7 +489,9 @@ def tietze_simplify(
             # length (ties by length, then names) rather than by generator
             # name alone: name-first choices can wedge the collapse.
             general: tuple | None = None
-            for key, w in store.items():
+            for r, w in enumerate(words):
+                if w is None:
+                    continue
                 counts: dict[int, int] = {}
                 for x in w:
                     counts[abs(x)] = counts.get(abs(x), 0) + 1
@@ -466,34 +499,105 @@ def tietze_simplify(
                     if c != 1:
                         continue
                     delta = (occ[g] - 1) * (len(w) - 1) - len(w)
-                    cand = (delta, len(w), names[g - 1], key, g)
+                    cand = (delta, len(w), names[g - 1], keys[r], g, r)
                     if general is None or cand < general:
                         general = cand
             if general is None:
-                return _finish(names, store, record, True)
-            g, drop = general[4], general[3]
+                return _finish(names, words, record, True)
+            g, drop = general[4], general[5]
         if drop is not None:
-            value = _solve(store[drop], g)
+            value = _solve(words[drop], g)
         elif len1[g]:
-            drop = (-g,)  # the key of both (g,) and (-g,)
+            drop = index[(-g,)]  # the key of both (g,) and (-g,)
             value = ()
         elif len2[g]:
-            drop = min(
-                k for k in by_gen[g] if len(k) == 2 and abs(k[0]) != abs(k[1])
-            )
-            w = store[drop]
+            drop = index[
+                min(
+                    k
+                    for k in map(keys.__getitem__, by_gen[g])
+                    if len(k) == 2 and abs(k[0]) != abs(k[1])
+                )
+            ]
+            w = words[drop]
             pos = 0 if abs(w[0]) == g else 1
             x, y = w[pos], w[1 - pos]
             value = (-y,) if x > 0 else (y,)
         else:
             (drop,) = by_gen[g]
-            value = _solve(store[drop], g)
-        remove(drop)
+            value = _solve(words[drop], g)
+        w = words[drop]
+        del index[keys[drop]]
+        words[drop] = keys[drop] = None
+        uncount(drop, w)
+        if len(w) <= 2:
+            short(w, -1)
         record.append((g, value))
         inv = invert_word(value)
-        for key in sorted(by_gen[g]):
-            old = remove(key)
-            add(_cyclic_strip(_substitute(old, g, value, inv)))
+        # Rewrite every relator on g in the order of their keys.  The counts
+        # change only where a letter of the value comes in or a pair of
+        # letters cancels; the occurrences of g are written off at the end.
+        # The rewrite is freely reduced in the same pass, over a list that
+        # starts with the sentinel 0 (no letter is 0), then cyclically.
+        for r in sorted(by_gen[g], key=keys.__getitem__):
+            w = words[r]
+            out = [0]
+            cut = []  # generators that lost occurrences to cancellation
+            for x in w:
+                if x == g:
+                    seq = value
+                elif x == -g:
+                    seq = inv
+                elif out[-1] == -x:
+                    out.pop()
+                    a = x if x > 0 else -x
+                    c = occ[a] = occ[a] - 2
+                    cut.append(a)
+                    if c == 1:
+                        heappush(heap, rank[a])
+                    continue
+                else:
+                    out.append(x)
+                    continue
+                for y in seq:
+                    a = y if y > 0 else -y
+                    if out[-1] == -y:
+                        out.pop()
+                        c = occ[a] = occ[a] - 1
+                        cut.append(a)
+                    else:
+                        out.append(y)
+                        c = occ[a] = occ[a] + 1
+                        by_gen[a].add(r)
+                    if c == 1:
+                        heappush(heap, rank[a])
+            i, j = 1, len(out) - 1
+            while i < j and out[i] == -out[j]:
+                a = abs(out[i])
+                c = occ[a] = occ[a] - 2
+                cut.append(a)
+                if c == 1:
+                    heappush(heap, rank[a])
+                i += 1
+                j -= 1
+            nw = tuple(out[i : j + 1])
+            for a in cut:
+                if a not in nw and -a not in nw:
+                    by_gen[a].discard(r)
+            del index[keys[r]]
+            if len(w) <= 2:
+                short(w, -1)
+            key = _rotation_key(nw) if nw else None
+            if key is None or key in index:
+                words[r] = keys[r] = None
+                uncount(r, nw)
+                continue
+            index[key] = r
+            words[r] = nw
+            keys[r] = key
+            if len(nw) <= 2:
+                short(nw, 1)
+        occ[g] = 0
+        by_gen[g].clear()
 
 
 def _substitute(w: Word, g: int, value: Word, inverse: Word) -> list[int]:
@@ -526,12 +630,12 @@ def _solve(w: Word, g: int) -> Word:
     return invert_word(rest) if w[i] > 0 else rest
 
 
-def _finish(names, store, record, complete) -> SimplifyResult:
+def _finish(names, words, record, complete) -> SimplifyResult:
     gone = {g for g, _ in record}
     kept = tuple(g for g in range(1, len(names) + 1) if g not in gone)
     renum = {g: i + 1 for i, g in enumerate(kept)}
     new_rels = []
-    for w in store.values():
+    for w in filter(None, words):
         assert all(abs(x) in renum for x in w)
         new_rels.append(tuple(renum[abs(x)] * (1 if x > 0 else -1) for x in w))
     new_rels.sort(key=lambda w: (len(w), w))

@@ -168,9 +168,13 @@ DEGREE_TREES = ("s", "lex", "fd", "fc", "rank0")
     ["stats", "--n", "3", "--rank", "1", "--no-cache"],
     ["stats", "--n", "3", "--rank", "1", "--cache-dir", "cache"],
     *(ADJACENCY_GRAPH + ["--tree", kind] for kind in DEGREE_TREES),
+    ["squares", "--monoid", "tn", "--n", "3", "--rank", "1"],
+    ["identify", "--monoid", "tn", "--n", "3", "--rank", "1"],
+    ["presentation", "--monoid", "tn", "--family", "ig", "--n", "3", "--rank", "1"],
 ), ids=(
     "tree-s-rank0", "no-cache", "cache-dir",
     *(f"adjacency-tree-{kind}" for kind in DEGREE_TREES),
+    "tn-squares", "tn-identify", "tn-presentation",
 ))
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     argv = [c4_graph(tmp_path) if a == "C4" else a for a in argv]
@@ -179,7 +183,10 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     except SystemExit as err:
         code = err.code
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if "tn" in argv:
+        assert "needs an involution" in err
 
 
 @pytest.mark.parametrize("command", (

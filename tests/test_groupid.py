@@ -11,6 +11,8 @@ from diagfree.groupid import (
     abelianization,
     check_label_homomorphism,
     identify,
+    perm_compose,
+    perm_inv,
     permutation_group_order,
     smith_normal_form,
     todd_coxeter,
@@ -114,6 +116,46 @@ def test_label_homomorphism_checks():
     with pytest.raises(KeyError):
         check_label_homomorphism(S3, {"s1": (1, 0, 2)})
     assert permutation_group_order([]) == 1
+
+
+def _reference_label_check(p, assignment):
+    """The label check that inverts a permutation at every inverse letter:
+    (valid, image_order, failures)."""
+    perms = [tuple(assignment[name]) for name in p.generators]
+    ident = tuple(range(len(perms[0])))
+    failures = []
+    for w in p.relators:
+        acc = ident
+        for x in w:
+            g = perms[abs(x) - 1]
+            acc = perm_compose(acc, g if x > 0 else perm_inv(g))
+        if acc != ident:
+            failures.append(p.word_str(w))
+            if len(failures) >= 5:
+                break
+    return not failures, permutation_group_order(perms), tuple(failures)
+
+
+def test_label_check_matches_per_letter_inverses():
+    """Inverting each generator once gives the verdict, the first five
+    failures in order and the image order of inverting at every letter,
+    on the labels and on a deliberately wrong assignment of 4-cycles and
+    3-cycles, whose inverses differ from themselves."""
+    from diagfree import verify
+
+    d = verify.dclass("pn", 4, 2)
+    pres = verify._ig_presentation(4, 2)
+    labels = verify._labels_for(verify.monoid("pn", 4), d)
+    rng = random.Random(6)
+    wrong = {name: tuple(rng.sample(range(4), 4)) for name in pres.generators}
+    assert any(perm_inv(g) != g for g in wrong.values())
+    for assignment, valid in ((labels, True), (wrong, False)):
+        got = check_label_homomorphism(pres, assignment)
+        assert (got.valid, got.image_order, got.failures) == _reference_label_check(
+            pres, assignment
+        )
+        assert got.valid is valid
+    assert len(got.failures) == 5
 
 
 def test_identify_free_and_trivial():

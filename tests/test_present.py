@@ -1,5 +1,6 @@
 """Presentation construction, Tietze simplification, emitters."""
 
+import hashlib
 import json
 import random
 
@@ -52,6 +53,31 @@ def test_word_helpers():
     assert cyclic_reduce((1, 2, -1)) == (2,)
     assert relator_key((2, 1)) == relator_key((1, 2))
     assert relator_key((1, 2)) == relator_key((-2, -1))
+
+
+def test_rotation_key_matches_all_rotations():
+    """The key read off the positions of the least letter m is the least
+    rotation of w or of its inverse, also when m repeats and when both m
+    and -m occur."""
+    rng = random.Random(7)
+    words = [(1, 2, 1, 3), (-1, 2, 1, 3), (2, -1, 3, 1, 2, -1), (-2, 1, 1)]
+    while len(words) < 3000:
+        k = rng.randint(1, 4)
+        length = rng.randint(1, 12)
+        w = cyclic_reduce(
+            tuple(rng.choice((1, -1)) * rng.randint(1, k) for _ in range(length))
+        )
+        if w:
+            words.append(w)
+    repeated = both = 0
+    for w in words:
+        v = invert_word(w)
+        want = min(x[i:] + x[:i] for x in (w, v) for i in range(len(w)))
+        assert relator_key(w) == want
+        m = min(min(w), -max(w))
+        repeated += (w + v).count(m) > 1
+        both += m in w and -m in w
+    assert repeated > 1000 and both > 300
 
 
 def test_presn_ig_d32_counts():
@@ -405,6 +431,46 @@ def test_tietze_record_gives_quotients(n, r):
         assert want is not None
         for simp in (full, capped):
             assert todd_coxeter(simp.quotient([g])).order == want
+
+
+def _pinned_presentation(family, n, r):
+    from diagfree import verify
+
+    d = verify.dclass("pn", n, r)
+    if family == "pg":
+        return presn_pg_squares(d, t_pg(n, r), verify.squares("pn", n, r))
+    if family == "ig":
+        return verify._ig_presentation(n, r)
+    return presn_pg_triangles(d, linked_triangles(d), friendliness_tree(d, 0))
+
+
+# sha256 of repr((record, kept)), taken with the elimination loop that
+# rewrote each relator through separate remove, substitute and add steps.
+# The record is what `SimplifyResult.image` and `identify`'s quotient read,
+# so the eliminations, their order and their values must all stay put.
+RECORD_DIGESTS = {
+    ("pg", 3, 1): "650503797f872ec1f07207b8e18dce630e4260bc3e830cce747a0e4dfe7e3da0",
+    ("ig", 3, 1): "f0dc60d843a252e144a90a7b5555ce3c6f67fc6b6a83c2ad9ce2eba5db376310",
+    ("pg", 4, 2): "7ba082058f0e86583ad23ca3ad3b3bae8e9fa4c9351315b0fde77e53a2cba8a6",
+    ("ig", 4, 2): "6711dbcc515ca1f5399800adc496845313964c942e7940d08fd80e30de281743",
+    ("triangles", 4, 0): "bf1495a74e84da51ffc18eaa5577c3f0df2cde1073f85206e782780408375532",
+    ("pg", 5, 3): "f61b1793ba0c930bb97857d76789915a91ce5134912b52cce72d92789d367252",
+    ("ig", 5, 3): "b69300a4ce70acc0a8417cec58b93a5cfea7b1dae51a0829ddc755847765b178",
+}
+
+
+@pytest.mark.parametrize(
+    "family, n, r",
+    [
+        pytest.param(*case, marks=pytest.mark.slow) if case[1] == 5 else case
+        for case in RECORD_DIGESTS
+    ],
+    ids=[f"{family}-{n}-{r}" for family, n, r in RECORD_DIGESTS],
+)
+def test_tietze_record_pinned(family, n, r):
+    res = tietze_simplify(_pinned_presentation(family, n, r))
+    text = repr((res.record, res.kept))
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORD_DIGESTS[(family, n, r)]
 
 
 def test_tietze_image_of_relators_and_survivors():
