@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from .diagram import (
     FiniteStarSemigroup,
@@ -156,7 +156,7 @@ class SquareEntry:
 
     rows/cols are unordered projection-index pairs; oclass is "horizontal"
     or "vertical"; square holds the canonically oriented corners and u the
-    first witness found in scan order, with its orientation for that layout.
+    witness with the lowest pool bit, with its orientation for that layout.
     """
 
     rows: tuple[int, int]
@@ -205,100 +205,143 @@ class _WitnessIndex:
             self.lid.append(lid)
             self.rid.append(rid)
 
-    @staticmethod
-    def scan(bits: int) -> Iterator[int]:
-        """The pool bits of a bitset, in scan order (lowest first)."""
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
 
-
-def _square_candidates(d: DClassData):
-    """Non-degenerate 2x2 grids of group H-classes, canonically oriented."""
+def _shared_columns(d: DClassData) -> list[tuple[int, int, list[int]]]:
+    """(i, k, C) for rows i < k sharing two or more group H-class columns,
+    C sorted.  Each pair j < l in C is one candidate square (i, k; j, l): a
+    non-degenerate 2x2 grid of group H-classes, canonically oriented."""
     cols_of: dict[int, list[int]] = {}
     for (i, j) in d.friendly:
         cols_of.setdefault(i, []).append(j)
-    for i in cols_of:
-        cols_of[i].sort()
     rows = sorted(cols_of)
+    out = []
     for a, i in enumerate(rows):
         si = set(cols_of[i])
         for k in rows[a + 1 :]:
             common = sorted(si.intersection(cols_of[k]))
-            for j, l in itertools.combinations(common, 2):
-                yield i, k, j, l
+            if len(common) > 1:
+                out.append((i, k, common))
+    return out
 
 
 def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
     """All non-degenerate singular squares of the D-class, deduplicated by
     unordered row pair + unordered column pair + orientation class.
 
-    Corners are E_D indices.  Each product x u or u x of a corner x and a
-    pool element u is made once per call: a memo maps the int key
-    (E_D index of x) * |pool| + (pool bit of u) to the E_D index of the
-    product, or -1 when the product lies outside E_D.
+    at[(i, j)] is the idempotent of row i and column j.  Each orientation
+    is decided by one AND of bitsets, through product tables per column and
+    per row:
+
+    * L is a right congruence.  Let x lie in row i and column j, and let u
+      be a pool element with u x = x (u in lid[i]).  Then x u is
+      idempotent and x u <=_R x, so x u is either outside E_D or equal to
+      at[(i, c)], and the column c = c(j, u) is the same for every such x
+      in column j.  right[j] maps c to the bits of those u.
+    * Dually R is a left congruence: for x u = x (u in rid[j]), u x is
+      outside E_D or equal to at[(r, j)] with r = r(i, u); left[i] maps r
+      to the bits of those u.
+
+    So for the candidate (i, k; j, l), a u in lid[i] & lid[k] & rid[l]
+    satisfies both LR equations e u = f and g u = h exactly when
+    c(j, u) = l; likewise RL is c(l, u) = j, UD is r(i, u) = k and DU is
+    r(k, u) = i.  The witness is the lowest set bit, the first in scan
+    order.  Of the three identity sets each orientation needs, the AND
+    keeps only the two the table does not imply: e u = f gives f u = f, so
+    lid[i] & lid[k] & right[j][l] lies inside rid[l], and dually.  No
+    involution is used here.
+
+    The tables hold only the bits some candidate asks for, collected per
+    row pair through prefix ORs over the shared columns: one product per
+    (column, bit) and per (row, bit), at the first corner of that column or
+    row that the pool element fixes.
     """
     h = d.handle
     widx = _WitnessIndex(d)
-    lid, rid, pool, scan = widx.lid, widx.rid, widx.pool, widx.scan
-    E = d.idempotents
-    eindex = d._eindex
-    at = {pair: eindex[e] for pair, e in d.e_of_pair.items()}
-    npool = len(pool)
+    lid, rid, pool = widx.lid, widx.rid, widx.pool
+    at = d.e_of_pair
+    place = {e: pair for pair, e in at.items()}
     p = h.product
-    right: dict[int, int] = {}
-    left: dict[int, int] = {}
+    rows_in: list[list[int]] = [[] for _ in d.lreps]
+    cols_in: list[list[int]] = [[] for _ in d.projections]
+    for i, j in sorted(at):
+        rows_in[j].append(i)
+        cols_in[i].append(j)
+    grids = _shared_columns(d)
 
-    def xu(x: int, b: int) -> int:
-        key = x * npool + b
-        k = right.get(key)
-        if k is None:
-            k = right[key] = eindex.get(p(E[x], pool[b]), -1)
-        return k
+    # need_col[j]: lid[i] & lid[k] & rid[l] over the candidates with left
+    # column j, and with j and l swapped; need_row[i] and need_row[k]: the
+    # dual, with rid[j] & rid[l].
+    need_col = [0] * len(d.lreps)
+    need_row = [0] * len(d.projections)
+    for i, k, common in grids:
+        lik = lid[i] & lid[k]
+        before = pairs = 0
+        for l in common:
+            if before:
+                need_col[l] |= lik & before
+                pairs |= rid[l] & before
+            before |= rid[l]
+        after = 0
+        for j in reversed(common):
+            if after:
+                need_col[j] |= lik & after
+            after |= rid[j]
+        need_row[i] |= lid[k] & pairs
+        need_row[k] |= lid[i] & pairs
 
-    def ux(x: int, b: int) -> int:
-        key = x * npool + b
-        k = left.get(key)
-        if k is None:
-            k = left[key] = eindex.get(p(pool[b], E[x]), -1)
-        return k
+    right: list[dict[int, int]] = []
+    for j, todo in enumerate(need_col):
+        table: dict[int, int] = {}
+        right.append(table)
+        for i in rows_in[j]:
+            bits = todo & lid[i]
+            todo ^= bits
+            x = at[(i, j)]
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                y = place.get(p(x, pool[low.bit_length() - 1]))
+                if y is not None:
+                    table[y[1]] = table.get(y[1], 0) | low
+    left: list[dict[int, int]] = []
+    for i, todo in enumerate(need_row):
+        table = {}
+        left.append(table)
+        for j in cols_in[i]:
+            bits = todo & rid[j]
+            todo ^= bits
+            x = at[(i, j)]
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                y = place.get(p(pool[low.bit_length() - 1], x))
+                if y is not None:
+                    table[y[0]] = table.get(y[0], 0) | low
 
     entries = []
-    for i, k, j, l in _square_candidates(d):
-        e, f, g, hh = at[(i, j)], at[(i, l)], at[(k, j)], at[(k, l)]
-        sq = Square(E[e], E[f], E[g], E[hh])
-        # Candidate witnesses: the left/right identity conditions of each
-        # orientation reduce to membership in row/column identity sets;
-        # only the two remaining equations need products.
-        found = None
-        for b in scan(lid[i] & lid[k] & rid[l]):
-            if xu(e, b) == f and xu(g, b) == hh:
-                found = ("LR", pool[b])
-                break
-        if found is None:
-            for b in scan(lid[i] & lid[k] & rid[j]):
-                if xu(f, b) == e and xu(hh, b) == g:
-                    found = ("RL", pool[b])
-                    break
-        if found:
-            entries.append(
-                SquareEntry((i, k), (j, l), "horizontal", sq, found[0], found[1])
-            )
-        found = None
-        for b in scan(rid[j] & rid[l] & lid[k]):
-            if ux(e, b) == g and ux(f, b) == hh:
-                found = ("UD", pool[b])
-                break
-        if found is None:
-            for b in scan(rid[j] & rid[l] & lid[i]):
-                if ux(g, b) == e and ux(hh, b) == f:
-                    found = ("DU", pool[b])
-                    break
-        if found:
-            entries.append(
-                SquareEntry((i, k), (j, l), "vertical", sq, found[0], found[1])
-            )
+    for i, k, common in grids:
+        lik = lid[i] & lid[k]
+        down, up = left[i].get(k, 0), left[k].get(i, 0)
+        for j, l in itertools.combinations(common, 2):
+            horizontal = "LR"
+            w = right[j].get(l, 0) & lik
+            if not w:
+                horizontal = "RL"
+                w = right[l].get(j, 0) & lik
+            vertical = "UD"
+            v = down & rid[j] & rid[l] if down else 0
+            if not v:
+                vertical = "DU"
+                v = up & rid[j] & rid[l] if up else 0
+            if not (w or v):
+                continue
+            sq = Square(at[(i, j)], at[(i, l)], at[(k, j)], at[(k, l)])
+            if w:
+                u = pool[(w & -w).bit_length() - 1]
+                entries.append(SquareEntry((i, k), (j, l), "horizontal", sq, horizontal, u))
+            if v:
+                u = pool[(v & -v).bit_length() - 1]
+                entries.append(SquareEntry((i, k), (j, l), "vertical", sq, vertical, u))
     entries.sort(key=lambda s: (s.rows, s.cols, s.oclass))
     return entries
 

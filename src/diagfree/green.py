@@ -141,7 +141,6 @@ class DClassData:
         """Build the lookup dictionaries; called once by `dclass_data`."""
         self._pindex = {p: i for i, p in enumerate(self.projections)}
         self._lindex = {q: j for j, q in enumerate(self.lreps)}
-        self._eindex = {e: k for k, e in enumerate(self.idempotents)}
         return self
 
     # -- invariants -------------------------------------------------------
@@ -149,19 +148,25 @@ class DClassData:
     def check_invariants(self) -> None:
         h = self.handle
         if self.is_star:
-            for i, p in enumerate(self.projections):
-                for j, q in enumerate(self.projections):
-                    fr = (
-                        h.product(h.product(p, q), p) == p
-                        and h.product(h.product(q, p), q) == q
-                    )
+            # pq[(i, j)] = p_i p_j for the pairs with p_i p_j p_i = p_i; each
+            # product p_i p_j and (p_i p_j) p_i is made once
+            P = self.projections
+            pq = {}
+            for i, p in enumerate(P):
+                for j, q in enumerate(P):
+                    x = h.product(p, q)
+                    if h.product(x, p) == p:
+                        pq[(i, j)] = x
+            for i in range(len(P)):
+                for j in range(len(P)):
+                    fr = (i, j) in pq and (j, i) in pq
                     assert ((i, j) in self.friendly) == fr, "friendliness mismatch"
             assert len(self.friendly) == len(self.idempotents), (
                 "the map (p,q) -> pq must biject onto E_D"
             )
             seen = set()
             for (i, j) in self.friendly:
-                e = h.product(self.projections[i], self.projections[j])
+                e = pq[(i, j)]
                 assert e == self.e_of_pair[(i, j)]
                 assert e not in seen
                 seen.add(e)

@@ -263,7 +263,7 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
 
 def perm_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Apply a first, then b (diagram order)."""
-    return tuple(b[a[i]] for i in range(len(a)))
+    return tuple(map(b.__getitem__, a))
 
 
 def perm_inv(a: tuple[int, ...]) -> tuple[int, ...]:

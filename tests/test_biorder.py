@@ -1,13 +1,14 @@
 """Singular squares, linked diamonds and triangles, NT-reduction, labels."""
 
 import hashlib
+import itertools
 
 import pytest
 
 from diagfree.biorder import (
     HORIZONTAL,
     Square,
-    _square_candidates,
+    _shared_columns,
     _WitnessIndex,
     enumerate_linked_diamonds,
     enumerate_singular_squares,
@@ -80,17 +81,18 @@ def brute_force_singular_squares(d):
     against the raw orientation equations.  Returns dedup keys."""
     h = d.handle
     keys = set()
-    for i, k, j, l in _square_candidates(d):
-        sq = Square(
-            d.e_of_pair[(i, j)],
-            d.e_of_pair[(i, l)],
-            d.e_of_pair[(k, j)],
-            d.e_of_pair[(k, l)],
-        )
-        for u in h.idempotents():
-            for orient in witness_orientations(h, sq, u):
-                oclass = "horizontal" if orient in HORIZONTAL else "vertical"
-                keys.add(((i, k), (j, l), oclass))
+    for i, k, common in _shared_columns(d):
+        for j, l in itertools.combinations(common, 2):
+            sq = Square(
+                d.e_of_pair[(i, j)],
+                d.e_of_pair[(i, l)],
+                d.e_of_pair[(k, j)],
+                d.e_of_pair[(k, l)],
+            )
+            for u in h.idempotents():
+                for orient in witness_orientations(h, sq, u):
+                    oclass = "horizontal" if orient in HORIZONTAL else "vertical"
+                    keys.add(((i, k), (j, l), oclass))
     return keys
 
 
@@ -135,26 +137,71 @@ def test_witness_index_bits(h, r):
             assert bool(widx.rid[i] >> b & 1) == (h.product(p, u) == p)
         assert widx.lid[i] >> len(widx.pool) == 0
         assert widx.rid[i] >> len(widx.pool) == 0
-        assert [widx.pool[b] for b in widx.scan(widx.lid[i])] == [
+        lowest_first = [b for b in range(len(widx.pool)) if widx.lid[i] >> b & 1]
+        assert [widx.pool[b] for b in lowest_first] == [
             u for u in widx.pool if h.product(u, p) == p
         ]
 
 
+@pytest.mark.parametrize(
+    "h, r, shares",
+    [
+        (P4, 2, True),
+        (BrauerMonoid(5), 1, True),
+        (AdjacencySemigroup("abc", [("a", "b"), ("b", "c")]), None, False),
+    ],
+    ids=["P4r2", "B5r1", "adjacency"],
+)
+def test_witness_tables_depend_on_column_only(h, r, shares):
+    """L is a right congruence and R a left one, so for the corners x of
+    one column that u fixes on the left, the products x u either all leave
+    E_D or all land in one column; dually for rows and u x.  The square
+    search's per-column and per-row product tables rest on this.
+
+    In the adjacency semigroup u = (a, b) fixes only the corner in row a of
+    each column, so no line there has two fixed corners (shares is False)."""
+    d = dclass_data(h, r)
+    row = {e: i for (i, j), e in d.e_of_pair.items()}
+    col = {e: j for (i, j), e in d.e_of_pair.items()}
+    rows: dict[int, list] = {}
+    cols: dict[int, list] = {}
+    for (i, j), x in sorted(d.e_of_pair.items()):
+        rows.setdefault(i, []).append(x)
+        cols.setdefault(j, []).append(x)
+    shared = 0  # (line, u) with two or more fixed corners and images in E_D
+    for u in _WitnessIndex(d).pool:
+        for xs in cols.values():
+            fixed = [x for x in xs if h.product(u, x) == x]
+            images = {col.get(h.product(x, u)) for x in fixed}
+            assert len(images) <= 1
+            shared += len(fixed) > 1 and images != {None}
+        for xs in rows.values():
+            fixed = [x for x in xs if h.product(x, u) == x]
+            images = {row.get(h.product(u, x)) for x in fixed}
+            assert len(images) <= 1
+            shared += len(fixed) > 1 and images != {None}
+    assert bool(shared) == shares
+
+
 # Count and sha256 of the square list with its witnesses.  The witness is
-# the first one found in scan order, so a change to the scan order or to a
+# the one with the lowest pool bit, so a change to the scan order or to a
 # product shows here even when the set of squares stays the same.
 SQUARE_DIGESTS = {
     (PartitionMonoid, 3, 1): (240, "00d9284522b3c354521ab791d1ad21dcc3588999d9c8ebb653b13ee970e847b9"),
     (PartitionMonoid, 4, 2): (1656, "9f3db39e53c89ae264447f11ab9583a5cdf29cecd41587f3d8b27f65a7d93147"),
     (PartitionMonoid, 4, 1): (35660, "911f723d9f66e03c588d59fbea8b2fce99e447f4758abf358c4d3988755d42e9"),
     (BrauerMonoid, 5, 1): (1800, "0d44e2fd5081a502a680b884f77fa6125712d2d16525d1f0d1e1e480106115a4"),
+    (PartitionMonoid, 5, 3): (6840, "69fefdfdbd8f408ef883be732f105122216278e506b30e01c6397b092fa2cafe"),
 }
 
 
 @pytest.mark.parametrize(
     "monoid, n, r",
-    list(SQUARE_DIGESTS),
-    ids=["3-1", "4-2", "4-1", "B5-1"],
+    [
+        pytest.param(*case, marks=pytest.mark.slow) if case == (PartitionMonoid, 5, 3) else case
+        for case in SQUARE_DIGESTS
+    ],
+    ids=["3-1", "4-2", "4-1", "B5-1", "5-3"],
 )
 def test_square_list_with_witnesses_pinned(monoid, n, r):
     h = monoid(n)
@@ -169,8 +216,9 @@ def test_square_list_with_witnesses_pinned(monoid, n, r):
 
 
 def test_square_search_product_count():
-    """The search at (P_4, 2) makes each product at most once: 1,668 for the
-    witness index and 3,552 in the candidate loop (28,986 without reuse)."""
+    """The search at (P_4, 2) makes 1,668 products for the witness index and
+    1,490 for the per-column and per-row product tables (28,986 without
+    reuse, 5,220 with one memoised product per corner and scanned bit)."""
     h = PartitionMonoid(4)
     d = dclass_data(h, 2)
     calls = 0
@@ -183,7 +231,7 @@ def test_square_search_product_count():
 
     h.product = counted
     assert len(enumerate_singular_squares(d)) == 1656
-    assert calls <= 6000
+    assert calls <= 3200
 
 
 def test_rank0_diamonds_tau_linked():
