@@ -118,33 +118,15 @@ def _nt_of(h: FiniteStarSemigroup, u) -> int:
     return u.nt() if isinstance(u, Partition) else 0
 
 
-def find_singularizers(
-    h: FiniteStarSemigroup, sq: Square, idempotents: Sequence | None = None
-) -> list[SingularWitness]:
-    """All witnesses, all four orientations, scanning E(S) in increasing NT(u).
-
-    A candidate u is pruned unless it is a two-sided identity for the pair of
-    corners forced below it by the orientation.
-    """
-    pool = list(idempotents) if idempotents is not None else h.idempotents()
-    pool.sort(key=lambda u: (_nt_of(h, u), h.sort_key(u)))
-    e, f, g, hh = sq.corners()
-    needs = {
-        "LR": (f, hh),
-        "RL": (e, g),
-        "UD": (g, hh),
-        "DU": (e, f),
-    }
-    p = h.product
-    out = []
-    for u in pool:
-        for orient in ORIENTATIONS:
-            x, y = needs[orient]
-            if p(u, x) != x or p(x, u) != x or p(u, y) != y or p(y, u) != y:
-                continue
-            if _CHECKS[orient](h, sq, u):
-                out.append(SingularWitness(sq, orient, u))
-    return out
+def find_singularizers(h: FiniteStarSemigroup, sq: Square) -> list[SingularWitness]:
+    """All witnesses, all four orientations, scanning E(S) in increasing NT(u)."""
+    pool = sorted(h.idempotents(), key=lambda u: (_nt_of(h, u), h.sort_key(u)))
+    return [
+        SingularWitness(sq, orient, u)
+        for u in pool
+        for orient in ORIENTATIONS
+        if _CHECKS[orient](h, sq, u)
+    ]
 
 
 # -- D-class enumeration -----------------------------------------------------
@@ -349,28 +331,29 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
 # -- linked diamonds / triangles / pairs --------------------------------------
 
 
-def conjugators(d: DClassData) -> list:
-    """Projections of the ambient monoid, in canonical order."""
-    return d.handle.projections()
+def _conjugations(d: DClassData):
+    """(p, items) for each projection p of the monoid, in canonical order:
+    items are the sorted index pairs (i, j) with p P[i] p = P[j]."""
+    h = d.handle
+    P = d.projections
+    pidx = {p: i for i, p in enumerate(P)}
+    for p in h.projections():
+        items = []
+        for i, s in enumerate(P):
+            j = pidx.get(h.product(h.product(p, s), p))
+            if j is not None:
+                items.append((i, j))
+        yield p, items
 
 
 def enumerate_linked_diamonds(d: DClassData) -> list[LinkedDiamond]:
     """All linked diamonds (s,u;v,w) over P_D, one witness kept per diamond
     (the earliest conjugating projection in canonical order), deduplicated
     under (s,u;v,w) ~ (u,s;w,v)."""
-    h = d.handle
     P = d.projections
-    pidx = {p: i for i, p in enumerate(P)}
     fr = d.friendly
     found: dict[tuple, LinkedDiamond] = {}
-    for p in conjugators(d):
-        image = {}
-        for i, s in enumerate(P):
-            v = h.product(h.product(p, s), p)
-            j = pidx.get(v)
-            if j is not None:
-                image[i] = j
-        items = sorted(image.items())
+    for p, items in _conjugations(d):
         for si, vi in items:
             for ui, wi in items:
                 if (
@@ -387,22 +370,14 @@ def enumerate_linked_diamonds(d: DClassData) -> list[LinkedDiamond]:
 
 def linked_triangles(d: DClassData) -> list[tuple]:
     """p-linked triangles (s,u,w): psp=s, pup=w, with (s,w),(u,s),(u,w) friendly."""
-    h = d.handle
     P = d.projections
-    pidx = {p: i for i, p in enumerate(P)}
     fr = d.friendly
     found: dict[tuple, Any] = {}
-    for p in conjugators(d):
-        image = {}
-        for i, s in enumerate(P):
-            v = h.product(h.product(p, s), p)
-            j = pidx.get(v)
-            if j is not None:
-                image[i] = j
-        for si, vi in sorted(image.items()):
+    for p, items in _conjugations(d):
+        for si, vi in items:
             if vi != si:
                 continue
-            for ui, wi in sorted(image.items()):
+            for ui, wi in items:
                 if (si, wi) in fr and (ui, si) in fr and (ui, wi) in fr:
                     key = (si, ui, wi)
                     if key not in found:
@@ -523,11 +498,7 @@ def _nonprojection_nt_square(e: Partition) -> tuple[Square, Partition]:
     A = uppers[0]
     same = [t for t in trans if comp_of[t[0]] == comp_of[A[0]]]
     target = same[0] if same else trans[0]
-    f = _merge_blocks(e, [A, target])
-    De = d_projection(e)
-    e3 = multiply(e, De)
-    e1 = multiply(f, De)
-    return Square(e1, f, e3, e), De
+    return ehresmann_square(e, _merge_blocks(e, [A, target]))
 
 
 def _components(e: Partition):

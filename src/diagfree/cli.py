@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="ig",
                    help="ig | pg | pg-linked | pg-triangles")
     p.add_argument("--tree", default="auto",
-                   help="auto | bfs | lex | fd | fc | s | pg | rank0")
+                   help="auto | bfs | s | pg | rank0")
     p.add_argument("--simplify", action="store_true")
     p.add_argument("--format", default="cas", choices=("cas", "json"))
     p.add_argument("-o", "--output")

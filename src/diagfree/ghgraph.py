@@ -51,11 +51,6 @@ class TreeSet:
     kind: str
     edges: list  # idempotents, canonical order
     scope: str = "full"  # "full" or "induced"
-    left_vertices: frozenset[int] | None = None
-    right_vertices: frozenset[int] | None = None
-
-    def __contains__(self, e) -> bool:
-        return e in set(self.edges)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -157,8 +152,6 @@ def tree_scope(g: GHGraph, t: TreeSet) -> tuple[set[int], set[int]]:
     d = g.dclass
     if t.scope == "full":
         return set(range(g.n_left)), set(range(g.n_right))
-    if t.left_vertices is not None and t.right_vertices is not None:
-        return set(t.left_vertices), set(t.right_vertices)
     nr = d.handle.n - d.rank
     ntu = [p.ntu() for p in d.projections]
     if t.kind == "T_lex":
@@ -179,7 +172,7 @@ def tree_scope(g: GHGraph, t: TreeSet) -> tuple[set[int], set[int]]:
     raise ValueError(f"no stated scope for tree kind {t.kind}")
 
 
-def verify_spanning_tree(g: GHGraph, t: TreeSet, scope: str | None = None) -> bool:
+def verify_spanning_tree(g: GHGraph, t: TreeSet) -> bool:
     """Edge membership, connectivity, and the tree edge count, on the stated
     scope (full graph, or the induced subgraph the tree kind claims)."""
     pairs = []
@@ -448,12 +441,3 @@ def gh_to_dot(g: GHGraph, tree: TreeSet | None = None) -> str:
 
 def _dot_escape(s) -> str:
     return str(s).replace('"', '\\"')
-
-
-def tree_to_json(d: DClassData, t: TreeSet) -> dict:
-    h = d.handle
-    return {
-        "kind": t.kind,
-        "scope": t.scope,
-        "edges": [h.text(e) for e in t.edges],
-    }

@@ -25,24 +25,20 @@ class EmptyClassError(ValueError):
 # -- Green's relations ------------------------------------------------------
 
 
-def _is_partition_like(h: FiniteStarSemigroup) -> bool:
-    return isinstance(h, PartitionHandleBase)
-
-
 def r_related(h: FiniteStarSemigroup, a, b) -> bool:
-    if _is_partition_like(h):
+    if isinstance(h, PartitionHandleBase):
         return a.dom() == b.dom() and a.ker() == b.ker()
     return right_ideal(h, a) == right_ideal(h, b)
 
 
 def l_related(h: FiniteStarSemigroup, a, b) -> bool:
-    if _is_partition_like(h):
+    if isinstance(h, PartitionHandleBase):
         return a.codom() == b.codom() and a.coker() == b.coker()
     return left_ideal(h, a) == left_ideal(h, b)
 
 
 def d_related(h: FiniteStarSemigroup, a, b) -> bool:
-    if _is_partition_like(h):
+    if isinstance(h, PartitionHandleBase):
         return a.rank() == b.rank()
     # D = R o L in a finite semigroup
     ra = right_ideal(h, a)
@@ -64,15 +60,6 @@ def left_ideal(h: FiniteStarSemigroup, a) -> frozenset:
     out = {a}
     out.update(h.product(s, a) for s in h.elements())
     return frozenset(out)
-
-
-def r_related_ideal(h: FiniteStarSemigroup, a, b) -> bool:
-    """Principal-ideal definition, as an independent oracle."""
-    return right_ideal(h, a) == right_ideal(h, b)
-
-
-def l_related_ideal(h: FiniteStarSemigroup, a, b) -> bool:
-    return left_ideal(h, a) == left_ideal(h, b)
 
 
 # -- D-class data -----------------------------------------------------------
@@ -106,9 +93,6 @@ class DClassData:
 
     def proj_index(self, p) -> int:
         return self._pindex[p]
-
-    def lrep_index(self, q) -> int:
-        return self._lindex[q]
 
     def r_index_of(self, e) -> int:
         """Index of the R-class of the idempotent e."""
@@ -220,13 +204,6 @@ def dclass_data(h: FiniteStarSemigroup, r: int | None = None) -> DClassData:
             d.strata.setdefault((e.ntu(), e.ntd()), []).append(e)
     d.check_invariants()
     return d
-
-
-def h_class_idempotent(d: DClassData, p, q):
-    """The idempotent pq when (p, q) is friendly; None otherwise."""
-    i = d.proj_index(p)
-    j = d.lrep_index(q)
-    return d.e_of_pair.get((i, j))
 
 
 def sandwich_set(h: FiniteStarSemigroup, e, f) -> list:

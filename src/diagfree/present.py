@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .biorder import LinkedDiamond, SquareEntry
 from .diagram import FiniteStarSemigroup
 from .green import DClassData
-from .ghgraph import TreeSet
+from .ghgraph import TreeSet, build_gh_graph, verify_spanning_tree
 
 Word = tuple[int, ...]
 
@@ -140,9 +140,11 @@ def presn_ig(
     """Maximal-subgroup presentation over a spanning tree: a_e = 1 on the
     tree, plus one quotient relation per singular square."""
     h = d.handle
-    from .ghgraph import build_gh_graph, verify_spanning_tree
-
-    if not verify_spanning_tree(build_gh_graph(d), t, scope="full"):
+    if t.scope != "full":
+        raise ValueError(
+            f"{t.kind} spans an induced subgraph, not the Graham-Houghton graph"
+        )
+    if not verify_spanning_tree(build_gh_graph(d), t):
         raise ValueError("tree does not span the Graham-Houghton graph")
     gens = tuple(gen_name_for_idempotent(h, e) for e in d.idempotents)
     gen_of = {e: idx + 1 for idx, e in enumerate(d.idempotents)}
@@ -159,8 +161,8 @@ def presn_pg_squares(
     """The same presentation with a_e a_{e*} = 1 adjoined; the tree must
     contain every projection of the class."""
     h = d.handle
-    missing = [p for p in d.projections if p not in set(t.edges)]
-    if missing:
+    tree = set(t.edges)
+    if any(p not in tree for p in d.projections):
         raise ValueError("tree must contain every projection of the D-class")
     base = presn_ig(d, t, squares)
     gen_of = {e: idx + 1 for idx, e in enumerate(d.idempotents)}
@@ -172,41 +174,50 @@ def presn_pg_squares(
     return GroupPresentation(base.generators, base.relators + tuple(inv_rel))
 
 
-def presn_pg_linked(
+def _pair_presentation(
     d: DClassData,
-    diamonds: Sequence[LinkedDiamond],
     f_tree: Sequence[tuple[int, int]],
+    quotient: Iterable[Sequence[tuple[tuple[int, int], int]]],
 ) -> GroupPresentation:
-    """Presentation on generators a_{p,q} for friendly pairs: tree edges and
-    diagonal generators trivial, a_{p,q} inverse to a_{q,p}, and one quotient
-    relation per non-degenerate linked diamond."""
+    """Presentation on generators a_{p,q} for the friendly pairs: tree edges
+    and diagonal generators trivial, a_{p,q} inverse to a_{q,p}, and one
+    relator per quotient word, a sequence of (pair, +1 or -1) letters."""
     h = d.handle
     P = d.projections
     pairs = sorted(d.friendly)
     gens = tuple(gen_name_for_pair(h, P[i], P[j]) for (i, j) in pairs)
     gid = {pair: idx + 1 for idx, pair in enumerate(pairs)}
     tree_pairs = set(f_tree)
-    if tree_pairs - set(pairs):
+    if tree_pairs - gid.keys():
         raise ValueError("tree edge outside the friendliness relation")
-    relators: list[Word] = []
-    for (i, j) in sorted(tree_pairs):
-        relators.append((gid[(i, j)],))
-    for i in range(len(P)):
-        relators.append((gid[(i, i)],))
+    relators: list[Word] = [(gid[pair],) for pair in sorted(tree_pairs)]
+    relators.extend((gid[(i, i)],) for i in range(len(P)))
     for (i, j) in pairs:
         if i < j and (j, i) in gid:
             relators.append((gid[(i, j)], gid[(j, i)]))
-    for dia in diamonds:
-        if dia.degenerate:
-            continue
-        s, u = d.proj_index(dia.s), d.proj_index(dia.u)
-        v, w = d.proj_index(dia.v), d.proj_index(dia.w)
-        word = free_reduce(
-            (-gid[(s, v)], gid[(s, w)], -gid[(u, w)], gid[(u, v)])
-        )
+    for letters in quotient:
+        word = free_reduce([x * gid[pair] for pair, x in letters])
         if word:
             relators.append(word)
     return GroupPresentation(gens, tuple(relators))
+
+
+def presn_pg_linked(
+    d: DClassData,
+    diamonds: Sequence[LinkedDiamond],
+    f_tree: Sequence[tuple[int, int]],
+) -> GroupPresentation:
+    """Presentation on generators a_{p,q} for friendly pairs with one
+    quotient relation a_{s,v}^-1 a_{s,w} a_{u,w}^-1 a_{u,v} per
+    non-degenerate linked diamond (s,u;v,w)."""
+
+    def quotient():
+        for dia in diamonds:
+            if not dia.degenerate:
+                s, u, v, w = map(d.proj_index, (dia.s, dia.u, dia.v, dia.w))
+                yield ((s, v), -1), ((s, w), 1), ((u, w), -1), ((u, v), 1)
+
+    return _pair_presentation(d, f_tree, quotient())
 
 
 def presn_pg_triangles(
@@ -216,25 +227,13 @@ def presn_pg_triangles(
 ) -> GroupPresentation:
     """Variant whose quotient relations are a_{u,s} a_{s,w} = a_{u,w} over
     the linked triangles."""
-    h = d.handle
-    P = d.projections
-    pairs = sorted(d.friendly)
-    gens = tuple(gen_name_for_pair(h, P[i], P[j]) for (i, j) in pairs)
-    gid = {pair: idx + 1 for idx, pair in enumerate(pairs)}
-    relators: list[Word] = []
-    for (i, j) in sorted(set(f_tree)):
-        relators.append((gid[(i, j)],))
-    for i in range(len(P)):
-        relators.append((gid[(i, i)],))
-    for (i, j) in pairs:
-        if i < j and (j, i) in gid:
-            relators.append((gid[(i, j)], gid[(j, i)]))
-    for (s, u, w, _p) in triangles:
-        si, ui, wi = d.proj_index(s), d.proj_index(u), d.proj_index(w)
-        word = free_reduce((gid[(ui, si)], gid[(si, wi)], -gid[(ui, wi)]))
-        if word:
-            relators.append(word)
-    return GroupPresentation(gens, tuple(relators))
+
+    def quotient():
+        for s, u, w, _p in triangles:
+            s, u, w = map(d.proj_index, (s, u, w))
+            yield ((u, s), 1), ((s, w), 1), ((u, w), -1)
+
+    return _pair_presentation(d, f_tree, quotient())
 
 
 # -- semigroup presentation documents -------------------------------------------
@@ -272,14 +271,10 @@ def emit_semigroup_presentation(
     name_e = {e: f"x[{h.text(e)}]" for e in E}
 
     def basic_relations():
-        rels = []
-        for e in E:
-            for f in E:
-                ef = h.product(e, f)
-                fe = h.product(f, e)
-                if ef in (e, f) or fe in (e, f):
-                    rels.append(((name_e[e], name_e[f]), (name_e[ef],)))
-        return rels
+        return [
+            ((name_e[e], name_e[f]), (name_e[h.product(e, f)],))
+            for e, f in basic_pairs(h)
+        ]
 
     if family == "ig":
         return SemigroupPresentationDoc(
@@ -680,10 +675,3 @@ def to_json_doc(p: GroupPresentation) -> dict:
         "generators": list(p.generators),
         "relators": [list(w) for w in p.relators],
     }
-
-
-def presentation_from_json(doc: dict) -> GroupPresentation:
-    return GroupPresentation(
-        tuple(doc["generators"]),
-        tuple(tuple(w) for w in doc["relators"]),
-    )

@@ -33,7 +33,14 @@ from .diagram import (
     multiply_with_floats,
     partition_from_blocks,
 )
-from .green import dclass_data, left_ideal, right_ideal
+from .green import (
+    d_related,
+    dclass_data,
+    l_related,
+    left_ideal,
+    r_related,
+    right_ideal,
+)
 from .ghgraph import (
     build_gh_graph,
     friendliness_tree,
@@ -149,11 +156,11 @@ def criterion_3() -> CriterionResult:
     bad = 0
     for a in elems:
         for b in elems:
-            if ((a.dom() == b.dom() and a.ker() == b.ker()) != (rid[a] == rid[b])):
+            if r_related(h, a, b) != (rid[a] == rid[b]):
                 bad += 1
-            if ((a.codom() == b.codom() and a.coker() == b.coker()) != (lid[a] == lid[b])):
+            if l_related(h, a, b) != (lid[a] == lid[b]):
                 bad += 1
-            if ((a.rank() == b.rank()) != ((rid[a], lid[b]) in rl)):
+            if d_related(h, a, b) != ((rid[a], lid[b]) in rl):
                 bad += 1
     return CriterionResult(
         3, "Green's relations fast path vs ideal oracle on P_3", bad == 0,

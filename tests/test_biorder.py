@@ -40,7 +40,9 @@ from diagfree.diagram import (
     multiply,
     partition_from_blocks,
 )
+from diagfree.ghgraph import friendliness_tree
 from diagfree.green import dclass_data
+from diagfree.present import presn_pg_linked, presn_pg_triangles, to_cas_text
 
 P2 = PartitionMonoid(2)
 P3 = PartitionMonoid(3)
@@ -264,6 +266,59 @@ def test_linked_triangles_are_diamonds():
     assert tris
     for (s, u, w, p) in tris[:25]:
         assert is_linked_diamond(P3, d, s, u, s, w, p)
+
+
+# (monoid, n, r) -> (triangles, diamonds, sha256 of the triangle list, of the
+# diamond list, of the linked-diamond presentation and of the triangle one).
+LINKED_DIGESTS = {
+    (PartitionMonoid, 3, 0): (
+        63, 115,
+        "c6891fdcd6c4d5861350e2e9b32fc470009db15ea3b7b9bdb85bacf7875b0ab6",
+        "d1f1eaa9b13e83c061ac3c7ad74572086dc08a78cbf503f2dd0c12ddfb0aa40f",
+        "0d768e08ee4a900a71b69df7366bc635878cb694d4401511ca39eee73e2cc244",
+        "59604b1a7b0a8a0cbce0712e428153083efa56e14f0ff79508204ae7c61b5f05",
+    ),
+    (PartitionMonoid, 3, 1): (
+        181, 421,
+        "f4c720ca2403c9082ed665c9d3701cc83d6bc98ee29f82cabc8b646aa8834247",
+        "375e50402f755788e588e44b5b5fcf00a215a1e76d5275d76e6222efb04842e9",
+        "f729509a0010364684876833a9a3f62ea6daabc3ccf4430baeadff7db7a4a68c",
+        "613ce6ee7f48452d282544a0ae4784046c2d7163e392813f0ceb5943784687bd",
+    ),
+    (PartitionMonoid, 4, 0): (
+        992, 3800,
+        "bce5c7e8960a78d1b8e1ef9f3b9216680daea1de85901f657cec1457f673d549",
+        "5c17cabbbb3af32f0105a4b3ce9c9c402d296dfb3b4ef0fbc3d05de76d7035f1",
+        "d98d82fec9b982ff6533b555f83a2398d8338c3a5026aaef34e5e3075c93ff46",
+        "cec84eadf31dbb7fd7cacf0e742fefedd804a619571f19c2488cd7f63ef47d21",
+    ),
+    (BrauerMonoid, 4, 0): (
+        15, 21,
+        "31189cb64d0c5d8d1e7fe5464dd861f32b8bc39684e96e81579e970da87da47c",
+        "6c1580f56e087e6a4890a3c81b03b18d37bc94f90e09b98fcc1067c2696006fc",
+        "2a323232cad50d6e5908df4ce29070bcfdba2531359ef7d7c903493786ae8967",
+        "b8b07bad9848dcfd53cc92f214bdc25469520dfb8e0fd91d5933b725be2527da",
+    ),
+}
+
+
+@pytest.mark.parametrize("monoid, n, r", LINKED_DIGESTS, ids=["3-0", "3-1", "4-0", "B4-0"])
+def test_linked_lists_pinned(monoid, n, r):
+    """Triangles (s, u, w, p) and diamonds (s, u; v, w) with witness p, as
+    text, and both friendly-pair presentations over friendliness_tree(d, 0)."""
+    h = monoid(n)
+    d = dclass_data(h, r)
+    tris = linked_triangles(d)
+    dias = enumerate_linked_diamonds(d)
+    tree = friendliness_tree(d, 0)
+    texts = (
+        "\n".join(" ".join(h.text(x) for x in t) for t in tris),
+        "\n".join(" ".join(h.text(x) for x in (x.s, x.u, x.v, x.w, x.p)) for x in dias),
+        to_cas_text(presn_pg_linked(d, dias, tree)),
+        to_cas_text(presn_pg_triangles(d, tris, tree)),
+    )
+    digests = tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+    assert (len(tris), len(dias), *digests) == LINKED_DIGESTS[(monoid, n, r)]
 
 
 def test_degenerate_square_not_nt_reducing():

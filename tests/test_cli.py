@@ -11,6 +11,9 @@ import pytest
 from diagfree.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+# Trees that span only an induced subgraph of the Graham-Houghton graph.
+INDUCED_TREES = ("lex", "fd", "fc")
+IG_31 = ["--family", "ig", "--n", "3", "--rank", "1", "--tree"]
 
 
 def run(capsys, *argv):
@@ -122,6 +125,13 @@ def test_graph_dot(capsys):
     assert out.startswith("graph gh {") and "color=red" in out
 
 
+@pytest.mark.parametrize("kind", INDUCED_TREES)
+def test_graph_draws_induced_trees(kind, capsys):
+    code, out = run(capsys, "graph", "--n", "3", "--rank", "1", "--tree", kind)
+    assert code == 0
+    assert out.startswith("graph gh {") and "color=red" in out
+
+
 def test_adjacency_from_file(tmp_path, capsys):
     code, out = run(
         capsys, "identify", "--monoid", "adjacency", "--graph", c4_graph(tmp_path),
@@ -171,10 +181,14 @@ DEGREE_TREES = ("s", "lex", "fd", "fc", "rank0")
     ["squares", "--monoid", "tn", "--n", "3", "--rank", "1"],
     ["identify", "--monoid", "tn", "--n", "3", "--rank", "1"],
     ["presentation", "--monoid", "tn", "--family", "ig", "--n", "3", "--rank", "1"],
+    *(["presentation", *IG_31, kind] for kind in INDUCED_TREES),
+    *(["identify", *IG_31, kind] for kind in INDUCED_TREES),
 ), ids=(
     "tree-s-rank0", "no-cache", "cache-dir",
     *(f"adjacency-tree-{kind}" for kind in DEGREE_TREES),
     "tn-squares", "tn-identify", "tn-presentation",
+    *(f"presentation-ig-tree-{kind}" for kind in INDUCED_TREES),
+    *(f"identify-ig-tree-{kind}" for kind in INDUCED_TREES),
 ))
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     argv = [c4_graph(tmp_path) if a == "C4" else a for a in argv]

@@ -28,7 +28,6 @@ from diagfree.ghgraph import (
     t_rank0,
     t_s,
     tree_scope,
-    tree_to_json,
     verify_spanning_tree,
 )
 
@@ -253,15 +252,13 @@ def test_set_partitions_into_counts():
     assert len(list(set_partitions_into(range(1, 5), 4))) == 1
 
 
-def test_dot_and_json_export():
+def test_dot_export():
     d = dclass_data(P3, 2)
     g = build_gh_graph(d)
     t = spanning_tree_bfs(g)
     dot = gh_to_dot(g, t)
     assert dot.startswith("graph gh {") and dot.count("--") == len(g.edges)
     assert dot.count("color=red") == len(t.edges)
-    doc = tree_to_json(d, t)
-    assert doc["kind"] == "generic" and len(doc["edges"]) == len(t.edges)
 
 
 def test_tree_scope_resolution():

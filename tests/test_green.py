@@ -16,11 +16,10 @@ from diagfree.green import (
     EmptyClassError,
     dclass_data,
     d_related,
-    h_class_idempotent,
     l_related,
+    left_ideal,
     r_related,
-    r_related_ideal,
-    l_related_ideal,
+    right_ideal,
     sandwich_set,
 )
 
@@ -65,8 +64,8 @@ def test_green_fast_path_vs_ideals_sampled():
     rng = random.Random(23)
     for _ in range(300):
         a, b = rng.choice(els), rng.choice(els)
-        assert r_related(h, a, b) == r_related_ideal(h, a, b)
-        assert l_related(h, a, b) == l_related_ideal(h, a, b)
+        assert r_related(h, a, b) == (right_ideal(h, a) == right_ideal(h, b))
+        assert l_related(h, a, b) == (left_ideal(h, a) == left_ideal(h, b))
 
 
 def test_rank_differs_implies_not_d_related():
@@ -100,10 +99,10 @@ def test_h_class_idempotent():
     h = PartitionMonoid(3)
     d = dclass_data(h, 0)
     # rank-0 class is a rectangular band: every pair is friendly
-    for p in d.projections:
-        assert h_class_idempotent(d, p, p) == p
-        for q in d.projections:
-            e = h_class_idempotent(d, p, q)
+    for i, p in enumerate(d.projections):
+        assert d.e_of_pair[(i, i)] == p
+        for j, q in enumerate(d.projections):
+            e = d.e_of_pair[(i, j)]
             assert e == multiply(p, q)
 
 

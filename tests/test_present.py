@@ -21,6 +21,7 @@ from diagfree.ghgraph import (
     spanning_tree_with_projections,
     t_pg,
     t_rank0,
+    t_lex,
     t_s,
     p0_projections,
 )
@@ -33,7 +34,6 @@ from diagfree.present import (
     free_reduce,
     gen_name_for_idempotent,
     invert_word,
-    presentation_from_json,
     presn_ig,
     presn_pg_linked,
     presn_pg_squares,
@@ -97,6 +97,10 @@ def test_presn_ig_rejects_non_spanning_tree():
     sq = enumerate_singular_squares(d)
     with pytest.raises(ValueError):
         presn_ig(d, TreeSet("generic", d.idempotents[:3]), sq)
+    # T_lex spans only an induced subgraph of the rank-2 class of P_4
+    d = dclass_data(PartitionMonoid(4), 2)
+    with pytest.raises(ValueError, match="induced subgraph"):
+        presn_ig(d, t_lex(4, 2), enumerate_singular_squares(d))
 
 
 def test_presn_pg_squares_requires_projections():
@@ -125,6 +129,13 @@ def test_pg_ig_differ_exactly_by_inverse_relators():
         if e.labels <= es.labels:
             expected.add((gen_of[e], gen_of[es]))
     assert extra == expected
+
+
+@pytest.mark.parametrize("build", (presn_pg_linked, presn_pg_triangles))
+def test_pair_presentations_reject_non_friendly_tree_edge(build):
+    d = dclass_data(P3, 0)
+    with pytest.raises(ValueError, match="outside the friendliness relation"):
+        build(d, [], [(0, 99)])
 
 
 def test_pg_linked_vs_triangles_same_group():
@@ -542,4 +553,5 @@ def test_cas_and_json_emitters():
     assert "a1*a2^-1" in text
     assert "# a2 = a[y]" in text
     doc = to_json_doc(p)
-    assert presentation_from_json(json.loads(json.dumps(doc))) == p
+    assert doc == {"generators": ["a[x]", "a[y]"], "relators": [[1, -2], [2, 2]]}
+    assert json.loads(json.dumps(doc)) == doc

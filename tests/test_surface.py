@@ -1,0 +1,59 @@
+"""Guard against dead public API: every public module-level function or class
+of the package is used somewhere else in the package, or is a named object
+of the paper kept for its own sake."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "diagfree"
+
+# Public names that nothing else in the package calls, each kept because it
+# states a definition or a result of the paper.
+PAPER_OBJECTS = (
+    "is_linked_pair",  # the linked-pair condition s = spups, u = upspu
+    "is_linked_diamond",  # the linked-diamond condition over P_D
+    "is_coxeter_idempotent",  # idempotents labelled by adjacent transpositions
+    "r_projection",  # the right projection R(a) = id_coker(a), with a R(a) = a
+    "relator_key",  # relators up to rotation and inversion, the Tietze key
+    "emit_semigroup_presentation",  # the defining presentations of IG, RIG, PG
+)
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names that node uses: plain names, attributes and imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def _public_names_and_uses():
+    """(module, index, name) of each public top-level def or class, index
+    being its place in the module body, and the names each top-level
+    statement uses, keyed (module, index).  A definition's own statement
+    does not count as a use, so recursion alone does not keep a name."""
+    defs, uses = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for k, stmt in enumerate(tree.body):
+            uses[(path.name, k)] = _references(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defs.append((path.name, k, stmt.name))
+    return defs, uses
+
+
+def test_public_api_is_used_or_a_paper_object():
+    defs, uses = _public_names_and_uses()
+    unused = [
+        f"{module}:{name}"
+        for module, k, name in defs
+        if name not in PAPER_OBJECTS
+        and not any(name in names for where, names in uses.items() if where != (module, k))
+    ]
+    assert not unused, f"public names used nowhere else in the package: {unused}"
+    assert set(PAPER_OBJECTS) <= {name for _, _, name in defs}
