@@ -1,9 +1,9 @@
 """Command-line front end: stats, presentations, identification, square and
 graph dumps, and the acceptance suite.
 
-Exit codes: 0 ok, 1 acceptance failure, 2 usage error.  Every command
-recomputes its D-class and squares; nothing is written to disk except -o
-files.
+Exit codes: 0 ok, 1 acceptance failure, 2 usage error, 3 internal error
+(the traceback goes to stderr).  Every command recomputes its D-class and
+squares; nothing is written to disk except -o files.
 """
 
 from __future__ import annotations
@@ -11,15 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
-from .biorder import (
-    SquareEntry,
-    enumerate_linked_diamonds,
-    enumerate_singular_squares,
-    label,
-    linked_triangles,
-)
+from .biorder import SquareEntry, enumerate_linked_diamonds, enumerate_singular_squares
 from .diagram import (
     AdjacencySemigroup,
     BrauerMonoid,
@@ -29,32 +24,20 @@ from .diagram import (
 )
 from .green import DClassData, dclass_data
 from .ghgraph import (
+    INDUCED_TREES,
+    SPANNING_TREES,
     build_gh_graph,
-    friendliness_tree,
     gh_to_dot,
     is_connected,
-    p0_projections,
-    p1_projections,
-    spanning_tree_bfs,
-    spanning_tree_with_projections,
-    t_fc,
-    t_fd,
-    t_lex,
-    t_pg,
-    t_rank0,
-    t_s,
-    TreeSet,
+    named_tree,
 )
-from .groupid import IdentifyHints, identify
+from .groupid import identify, subgroup_hints
 from .present import (
-    gen_name_for_idempotent,
-    presn_ig,
-    presn_pg_linked,
-    presn_pg_squares,
-    presn_pg_triangles,
+    FAMILIES,
+    subgroup_presentation,
+    tietze_simplify,
     to_cas_text,
     to_json_doc,
-    tietze_simplify,
 )
 
 # Names of T_n for --monoid.  T_n has no involution, so the commands that
@@ -82,7 +65,11 @@ def read_adjacency(path: Path) -> AdjacencySemigroup:
     """Edge list, one `u v` pair per line; loops are implicit."""
     vertices: set[str] = set()
     edges = []
-    for line in path.read_text().splitlines():
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise SystemExit2(f"cannot read --graph file: {exc}")
+    for line in text.splitlines():
         toks = line.split()
         if not toks or toks[0].startswith("#"):
             continue
@@ -122,48 +109,13 @@ def squares_to_doc(d: DClassData, squares: list[SquareEntry]) -> dict:
     }
 
 
-def pick_tree(args, h, d: DClassData) -> TreeSet:
-    g = build_gh_graph(d)
-    kind = getattr(args, "tree", "auto") or "auto"
-    n, r = getattr(h, "n", None), d.rank
-    if kind == "auto":
-        if isinstance(h, AdjacencySemigroup) or r is None:
-            return spanning_tree_with_projections(g)
-        if r == 0:
-            return t_rank0(n)
-        if 1 <= r <= n - 2:
-            return t_s(n, r, p0_projections(n, r)[0])
-        return spanning_tree_bfs(g)
-    if kind in ("lex", "fd", "fc", "s", "rank0") and (n is None or r is None):
-        raise ValueError(f"--tree {kind} needs a monoid with a degree and a rank")
-    if kind == "bfs":
-        return spanning_tree_bfs(g)
-    if kind == "lex":
-        return t_lex(n, r)
-    if kind == "fd":
-        return t_fd(n, r)
-    if kind == "fc":
-        return t_fc(n, r)
-    if kind == "s":
-        if not 1 <= r <= n - 2:
-            raise ValueError("t_s requires 1 <= r <= n-2")
-        return t_s(n, r, p0_projections(n, r)[0])
-    if kind == "pg":
-        return pg_tree(h, d)
-    if kind == "rank0":
-        return t_rank0(n)
-    raise SystemExit2(f"unknown tree kind {kind!r}")
-
-
-def pg_tree(h, d: DClassData) -> TreeSet:
-    n, r = getattr(h, "n", None), d.rank
-    if (
-        not isinstance(h, AdjacencySemigroup)
-        and r is not None
-        and 1 <= r <= n - 2
-    ):
-        return t_pg(n, r)
-    return spanning_tree_with_projections(build_gh_graph(d))
+def write_output(args, out: str) -> None:
+    """Write out to the -o file, or to stdout."""
+    if args.output:
+        Path(args.output).write_text(out)
+        print(f"wrote {args.output}")
+    else:
+        sys.stdout.write(out)
 
 
 # -- commands -----------------------------------------------------------------
@@ -186,27 +138,10 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _family_presentation(args, h, d):
-    family = args.family
-    if family == "ig":
-        squares = enumerate_singular_squares(d)
-        return presn_ig(d, pick_tree(args, h, d), squares)
-    if family == "pg":
-        squares = enumerate_singular_squares(d)
-        return presn_pg_squares(d, pg_tree(h, d), squares)
-    if family == "pg-linked":
-        diamonds = enumerate_linked_diamonds(d)
-        return presn_pg_linked(d, diamonds, friendliness_tree(d, 0))
-    if family == "pg-triangles":
-        tris = linked_triangles(d)
-        return presn_pg_triangles(d, tris, friendliness_tree(d, 0))
-    raise SystemExit2(f"unknown family {family!r}")
-
-
 def cmd_presentation(args) -> int:
     h = make_handle(args)
     d = dclass_data(h, args.rank)
-    pres = _family_presentation(args, h, d)
+    pres = subgroup_presentation(d, args.family, args.tree)
     if args.simplify:
         pres = tietze_simplify(pres).presentation
     title = f"{args.family} maximal subgroup presentation, {h.describe()}, rank {d.rank}"
@@ -214,37 +149,14 @@ def cmd_presentation(args) -> int:
         out = json.dumps(to_json_doc(pres), indent=2, sort_keys=True)
     else:
         out = to_cas_text(pres, title)
-    if args.output:
-        Path(args.output).write_text(out)
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(out)
+    write_output(args, out)
     return 0
 
 
 def cmd_identify(args) -> int:
-    h = make_handle(args)
-    d = dclass_data(h, args.rank)
-    pres = _family_presentation(args, h, d)
-    hints = IdentifyHints(max_cosets=args.max_cosets)
-    r = d.rank
-    if (
-        args.family in ("ig", "pg")
-        and not isinstance(h, AdjacencySemigroup)
-        and r is not None
-        and r >= 1
-    ):
-        labels = {
-            gen_name_for_idempotent(h, e): label(e) for e in d.idempotents
-        }
-        quot = ()
-        if args.family == "ig" and r <= h.n - 2:
-            quot = (gen_name_for_idempotent(h, p1_projections(h.n, r)[0]),)
-        hints = IdentifyHints(
-            rank=r, labels=labels, quotient_generators=quot,
-            max_cosets=args.max_cosets,
-        )
-    verdict = identify(pres, hints)
+    d = dclass_data(make_handle(args), args.rank)
+    pres = subgroup_presentation(d, args.family, args.tree)
+    verdict = identify(pres, subgroup_hints(d, args.family, args.max_cosets))
     if args.format == "json":
         print(json.dumps(verdict.to_json(), indent=2, sort_keys=True))
     else:
@@ -269,12 +181,7 @@ def cmd_squares(args) -> int:
             }
             for x in diamonds
         ]
-    out = json.dumps(doc, indent=2, sort_keys=True)
-    if args.output:
-        Path(args.output).write_text(out)
-        print(f"wrote {args.output}")
-    else:
-        print(out)
+    write_output(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -282,13 +189,8 @@ def cmd_graph(args) -> int:
     h = make_handle(args)
     d = dclass_data(h, args.rank)
     g = build_gh_graph(d)
-    tree = pick_tree(args, h, d) if args.tree else None
-    out = gh_to_dot(g, tree)
-    if args.output:
-        Path(args.output).write_text(out)
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(out)
+    tree = named_tree(d, args.tree) if args.tree else None
+    write_output(args, gh_to_dot(g, tree))
     return 0
 
 
@@ -330,10 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("presentation", help="emit a maximal-subgroup presentation")
     common(p)
-    p.add_argument("--family", default="ig",
-                   help="ig | pg | pg-linked | pg-triangles")
-    p.add_argument("--tree", default="auto",
-                   help="auto | bfs | s | pg | rank0")
+    p.add_argument("--family", default="ig", choices=FAMILIES)
+    p.add_argument("--tree", default="auto", choices=SPANNING_TREES,
+                   help="ig and pg only; auto means pg for pg")
     p.add_argument("--simplify", action="store_true")
     p.add_argument("--format", default="cas", choices=("cas", "json"))
     p.add_argument("-o", "--output")
@@ -341,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identify", help="identify the maximal subgroup")
     common(p)
-    p.add_argument("--family", default="ig",
-                   help="ig | pg | pg-linked | pg-triangles")
-    p.add_argument("--tree", default="auto")
+    p.add_argument("--family", default="ig", choices=FAMILIES)
+    p.add_argument("--tree", default="auto", choices=SPANNING_TREES,
+                   help="ig and pg only; auto means pg for pg")
     p.add_argument("--max-cosets", type=int, default=10**6)
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.set_defaults(func=cmd_identify)
@@ -356,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="DOT export of the Graham-Houghton graph")
     common(p)
-    p.add_argument("--tree", default="",
-                   help="colour these tree edges (bfs | lex | fd | fc | s | pg | rank0)")
+    p.add_argument("--tree", default="", choices=SPANNING_TREES + INDUCED_TREES,
+                   help="colour this tree's edges")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_graph)
 
@@ -378,11 +279,13 @@ def main(argv=None) -> int:
         )
     try:
         return args.func(args)
-    except SystemExit2:
-        raise
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

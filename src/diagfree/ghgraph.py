@@ -392,6 +392,46 @@ def p1_projections(n: int, r: int) -> list[Partition]:
     return _projections_by_stratum(n, r, 1)
 
 
+# The kinds `named_tree` takes: trees of the whole Graham-Houghton graph,
+# which presentations need, and trees of induced subgraphs.
+SPANNING_TREES = ("auto", "bfs", "s", "pg", "rank0")
+INDUCED_TREES = ("lex", "fd", "fc")
+
+
+def named_tree(d: DClassData, kind: str = "auto") -> TreeSet:
+    """The tree `kind` of d's Graham-Houghton graph: bfs, s (T_s over the
+    first P_0 projection), pg (contains P_D: T_pg at 1 <= r <= n-2, else
+    the projection tree), rank0, the induced lex, fd and fc, or auto:
+    T_rank0 at rank 0, T_s at 1 <= r <= n-2, bfs above, and the
+    projection tree for a class without a rank."""
+    n, r = getattr(d.handle, "n", None), d.rank
+    if kind == "auto":
+        if r is None:
+            kind = "pg"
+        elif r == 0:
+            kind = "rank0"
+        else:
+            kind = "s" if r <= n - 2 else "bfs"
+    if kind in ("lex", "fd", "fc", "s", "rank0") and r is None:
+        raise ValueError(f"--tree {kind} needs a monoid with a degree and a rank")
+    if kind == "bfs":
+        return spanning_tree_bfs(build_gh_graph(d))
+    if kind == "pg":
+        if r is not None and 1 <= r <= n - 2:
+            return t_pg(n, r)
+        return spanning_tree_with_projections(build_gh_graph(d))
+    if kind == "s":
+        if not 1 <= r <= n - 2:
+            raise ValueError("t_s requires 1 <= r <= n-2")
+        return t_s(n, r, p0_projections(n, r)[0])
+    if kind == "rank0":
+        return t_rank0(n)
+    induced = {"lex": t_lex, "fd": t_fd, "fc": t_fc}
+    if kind in induced:
+        return induced[kind](n, r)
+    raise ValueError(f"unknown tree kind {kind!r}")
+
+
 def friendliness_tree(d: DClassData, root: int = 0) -> list[tuple[int, int]]:
     """Directed BFS spanning tree of the friendliness digraph, rooted at
     the projection with the given index; edges point away from the root."""

@@ -7,7 +7,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .present import GroupPresentation, SimplifyResult, tietze_simplify
+from .biorder import label
+from .green import DClassData
+from .ghgraph import p1_projections
+from .present import (
+    GroupPresentation,
+    SimplifyResult,
+    gen_name_for_idempotent,
+    tietze_simplify,
+)
 
 # -- Smith normal form --------------------------------------------------------
 
@@ -338,6 +346,25 @@ class IdentifyHints:
     quotient_generators: tuple[str, ...] = ()
     max_cosets: int = 10**6
     simplify_budget: int | None = None
+
+
+def subgroup_hints(
+    d: DClassData, family: str, max_cosets: int = 10**6
+) -> IdentifyHints:
+    """Hints for the `family` presentation of `subgroup_presentation` over
+    d: ig and pg at rank r >= 1 get r and the label of each generator's
+    idempotent, and ig at 1 <= r <= n-2 also the quotient by the first P_1
+    projection, of order r! for Z x S_r."""
+    h, r = d.handle, d.rank
+    if family not in ("ig", "pg") or r is None or r < 1:
+        return IdentifyHints(max_cosets=max_cosets)
+    labels = {gen_name_for_idempotent(h, e): label(e) for e in d.idempotents}
+    quot = ()
+    if family == "ig" and r <= h.n - 2:
+        quot = (gen_name_for_idempotent(h, p1_projections(h.n, r)[0]),)
+    return IdentifyHints(
+        rank=r, labels=labels, quotient_generators=quot, max_cosets=max_cosets
+    )
 
 
 @dataclass

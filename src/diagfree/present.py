@@ -14,10 +14,22 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .biorder import LinkedDiamond, SquareEntry
+from .biorder import (
+    LinkedDiamond,
+    SquareEntry,
+    enumerate_linked_diamonds,
+    enumerate_singular_squares,
+    linked_triangles,
+)
 from .diagram import FiniteStarSemigroup
 from .green import DClassData
-from .ghgraph import TreeSet, build_gh_graph, verify_spanning_tree
+from .ghgraph import (
+    TreeSet,
+    build_gh_graph,
+    friendliness_tree,
+    named_tree,
+    verify_spanning_tree,
+)
 
 Word = tuple[int, ...]
 
@@ -234,6 +246,36 @@ def presn_pg_triangles(
             yield ((u, s), 1), ((s, w), 1), ((u, w), -1)
 
     return _pair_presentation(d, f_tree, quotient())
+
+
+FAMILIES = ("ig", "pg", "pg-linked", "pg-triangles")
+
+
+def subgroup_presentation(
+    d: DClassData,
+    family: str,
+    tree: str = "auto",
+    *,
+    squares: Sequence[SquareEntry] | None = None,
+) -> GroupPresentation:
+    """The maximal-subgroup presentation of `family` over d: ig or pg over
+    `named_tree(d, tree)`, where auto means the pg tree for pg, or
+    pg-linked or pg-triangles over the friendliness tree, which take only
+    tree="auto".  `squares`, d's singular squares that the caller already
+    holds, is used instead of searching again."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if family in ("ig", "pg"):
+        t = named_tree(d, "pg" if family == "pg" and tree == "auto" else tree)
+        if squares is None:
+            squares = enumerate_singular_squares(d)
+        build = presn_ig if family == "ig" else presn_pg_squares
+        return build(d, t, squares)
+    if tree != "auto":
+        raise ValueError(f"{family} presents over the friendliness tree, not --tree {tree}")
+    if family == "pg-linked":
+        return presn_pg_linked(d, enumerate_linked_diamonds(d), friendliness_tree(d, 0))
+    return presn_pg_triangles(d, linked_triangles(d), friendliness_tree(d, 0))
 
 
 # -- semigroup presentation documents -------------------------------------------

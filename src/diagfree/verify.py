@@ -41,32 +41,19 @@ from .green import (
     r_related,
     right_ideal,
 )
-from .ghgraph import (
-    build_gh_graph,
-    friendliness_tree,
-    is_connected,
-    p0_projections,
-    p1_projections,
-    spanning_tree_bfs,
-    spanning_tree_with_projections,
-    t_pg,
-    t_rank0,
-    t_s,
-)
+from .ghgraph import build_gh_graph, is_connected, p1_projections
 from .groupid import (
-    IdentifyHints,
     abelianization,
     check_label_homomorphism,
     identify,
     smith_normal_form,
+    subgroup_hints,
     todd_coxeter,
 )
 from .present import (
     GroupPresentation,
     gen_name_for_idempotent,
-    presn_ig,
-    presn_pg_linked,
-    presn_pg_squares,
+    subgroup_presentation,
     tietze_simplify,
 )
 
@@ -98,17 +85,10 @@ def squares(kind: str, n: int, r: int):
     return enumerate_singular_squares(dclass(kind, n, r))
 
 
-def _labels_for(h, d):
-    return {gen_name_for_idempotent(h, e): label(e) for e in d.idempotents}
-
-
-def _ig_presentation(n: int, r: int) -> GroupPresentation:
-    d = dclass("pn", n, r)
-    if r == 0:
-        tree = t_rank0(n)
-    else:
-        tree = t_s(n, r, p0_projections(n, r)[0])
-    return presn_ig(d, tree, squares("pn", n, r))
+def _presentation(family: str, n: int, r: int) -> GroupPresentation:
+    """The default-tree presentation of P_n's rank-r class, over the cached
+    square list."""
+    return subgroup_presentation(dclass("pn", n, r), family, squares=squares("pn", n, r))
 
 
 # -- criteria ------------------------------------------------------------------
@@ -200,11 +180,8 @@ def criterion_6() -> CriterionResult:
     details = []
     ok = True
     for n in (3, 4):
-        d = dclass("pn", n, n - 1)
         sq = squares("pn", n, n - 1)
-        g = build_gh_graph(d)
-        pres = presn_ig(d, spanning_tree_bfs(g), sq)
-        v = identify(pres)
+        v = identify(_presentation("ig", n, n - 1))
         want = (n - 1) * (3 * n - 2) // 2
         good = not sq and v.kind == "free" and v.rank == want
         ok = ok and good
@@ -216,23 +193,12 @@ def criterion_7() -> CriterionResult:
     details = []
     ok = True
     for n in (3, 4):
-        d = dclass("pn", n, n - 1)
-        g = build_gh_graph(d)
-        pres = presn_pg_squares(d, spanning_tree_with_projections(g), squares("pn", n, n - 1))
-        v = identify(pres)
+        v = identify(_presentation("pg", n, n - 1))
         want = (n - 1) * (n - 2) // 2
         good = v.kind == "free" and v.rank == want
         ok = ok and good
         details.append(f"n={n}: {v.describe()} (want free {want})")
     return CriterionResult(7, "PG at rank n-1 is free", ok, "; ".join(details))
-
-
-def _pg_sr_case(n: int, r: int):
-    h = monoid("pn", n)
-    d = dclass("pn", n, r)
-    pres = presn_pg_squares(d, t_pg(n, r), squares("pn", n, r))
-    hints = IdentifyHints(rank=r, labels=_labels_for(h, d))
-    return identify(pres, hints)
 
 
 def criterion_8(include_slow: bool = False) -> CriterionResult:
@@ -242,7 +208,7 @@ def criterion_8(include_slow: bool = False) -> CriterionResult:
     details = []
     ok = True
     for n, r in cases:
-        v = _pg_sr_case(n, r)
+        v = identify(_presentation("pg", n, r), subgroup_hints(dclass("pn", n, r), "pg"))
         good = (
             v.kind == "finite"
             and v.order == math.factorial(r)
@@ -261,11 +227,7 @@ def criterion_9() -> CriterionResult:
     details = []
     ok = True
     for n in (1, 2, 3, 4):
-        d = dclass("pn", n, 0)
-        pres = presn_pg_linked(
-            d, enumerate_linked_diamonds(d), friendliness_tree(d, 0)
-        )
-        v = identify(pres)
+        v = identify(subgroup_presentation(dclass("pn", n, 0), "pg-linked"))
         good = v.is_trivial
         ok = ok and good
         details.append(f"n={n}: {v.describe()}")
@@ -279,7 +241,7 @@ def criterion_10() -> CriterionResult:
     details = []
     ok = True
     for n in (2, 3, 4):
-        pres = _ig_presentation(n, 0)
+        pres = _presentation("ig", n, 0)
         res = tietze_simplify(pres)
         simp = res.presentation
         v = identify(pres, simplified=res)
@@ -302,23 +264,18 @@ def criterion_11() -> CriterionResult:
     details = []
     ok = True
     for h, n, r in cases:
-        d = dclass("pn", n, r)
-        pres = _ig_presentation(n, r)
+        pres = _presentation("ig", n, r)
+        hints = subgroup_hints(dclass("pn", n, r), "ig")
         simp = tietze_simplify(pres)
         ab = abelianization(simp.presentation)
         expected_torsion = () if r <= 1 else (2,)
-        lc = check_label_homomorphism(pres, _labels_for(h, d))
+        lc = check_label_homomorphism(pres, hints.labels)
         t_choices = p1_projections(n, r)[:2]
         orders = []
         for t in t_choices:
             name = gen_name_for_idempotent(h, t)
             ct = todd_coxeter(simp.quotient([(pres.gen_index(name) + 1,)]))
             orders.append(ct.order)
-        hints = IdentifyHints(
-            rank=r,
-            labels=_labels_for(h, d),
-            quotient_generators=(gen_name_for_idempotent(h, t_choices[0]),),
-        )
         v = identify(pres, hints, simplified=simp)
         partial_ok = (v.kind == "z_cross_finite" and v.certification == "partial") or (
             r == 1 and v.kind == "free" and v.rank == 1
@@ -344,10 +301,7 @@ def criterion_11() -> CriterionResult:
 
 def criterion_12() -> CriterionResult:
     d = dclass("brauer", 4, 0)
-    pres = presn_pg_linked(
-        d, enumerate_linked_diamonds(d), friendliness_tree(d, 0)
-    )
-    v = identify(pres)
+    v = identify(subgroup_presentation(d, "pg-linked"))
     formula = (len(d.idempotents) - 3 * len(d.projections)) // 2 + 1
     ok = (
         v.kind == "free"
@@ -374,12 +328,7 @@ def criterion_13() -> CriterionResult:
     ok = True
     for (name, (vs, es)), want in zip(graphs.items(), expected):
         g = AdjacencySemigroup(vs, es)
-        d = dclass_data(g)
-        gh = build_gh_graph(d)
-        pres = presn_pg_squares(
-            d, spanning_tree_with_projections(gh), enumerate_singular_squares(d)
-        )
-        v = identify(pres)
+        v = identify(subgroup_presentation(dclass_data(g), "pg"))
         want_rank = g.simple_edge_count() - len(g.vertices) + 1
         good = (
             want == want_rank

@@ -1,5 +1,6 @@
 """CLI behaviour: commands, exports, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # Trees that span only an induced subgraph of the Graham-Houghton graph.
 INDUCED_TREES = ("lex", "fd", "fc")
 IG_31 = ["--family", "ig", "--n", "3", "--rank", "1", "--tree"]
+PG_42 = ["--family", "pg", "--n", "4", "--rank", "2", "--tree"]
+# Trees that miss a projection of the rank-2 class of P_4, which pg needs.
+NON_PG_TREES = ("bfs", "s", "rank0")
+PAIR_FAMILIES = ("pg-linked", "pg-triangles")
 
 
 def run(capsys, *argv):
@@ -183,15 +188,34 @@ DEGREE_TREES = ("s", "lex", "fd", "fc", "rank0")
     ["presentation", "--monoid", "tn", "--family", "ig", "--n", "3", "--rank", "1"],
     *(["presentation", *IG_31, kind] for kind in INDUCED_TREES),
     *(["identify", *IG_31, kind] for kind in INDUCED_TREES),
+    *(["presentation", *PG_42, kind] for kind in NON_PG_TREES),
+    *(["identify", *PG_42, kind] for kind in NON_PG_TREES),
+    *(
+        [command, "--family", family, "--n", "3", "--rank", "0", "--tree", kind]
+        for command in ("presentation", "identify")
+        for family in PAIR_FAMILIES
+        for kind in ("bfs", "pg")
+    ),
+    ["stats", "--monoid", "adjacency", "--graph", "MISSING", "--rank", "0"],
 ), ids=(
     "tree-s-rank0", "no-cache", "cache-dir",
     *(f"adjacency-tree-{kind}" for kind in DEGREE_TREES),
     "tn-squares", "tn-identify", "tn-presentation",
     *(f"presentation-ig-tree-{kind}" for kind in INDUCED_TREES),
     *(f"identify-ig-tree-{kind}" for kind in INDUCED_TREES),
+    *(f"presentation-pg-tree-{kind}" for kind in NON_PG_TREES),
+    *(f"identify-pg-tree-{kind}" for kind in NON_PG_TREES),
+    *(
+        f"{command}-{family}-tree-{kind}"
+        for command in ("presentation", "identify")
+        for family in PAIR_FAMILIES
+        for kind in ("bfs", "pg")
+    ),
+    "missing-graph-file",
 ))
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
-    argv = [c4_graph(tmp_path) if a == "C4" else a for a in argv]
+    missing = str(tmp_path / "missing.edges")
+    argv = [c4_graph(tmp_path) if a == "C4" else missing if a == "MISSING" else a for a in argv]
     try:
         code = main(argv)
     except SystemExit as err:
@@ -201,6 +225,53 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     assert "error:" in err
     if "tn" in argv:
         assert "needs an involution" in err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    """An exception that is not a usage error exits 3 with its traceback,
+    never 2."""
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("diagfree.cli.dclass_data", broken)
+    assert main(["stats", "--n", "3", "--rank", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: KeyError('internal')")
+    assert "Traceback" in err
+
+
+# sha256 of `presentation` stdout, taken before the tree and family choice
+# moved into the library: every family with its default tree, and ig over
+# three named trees.
+PRESENTATION_DIGESTS = {
+    ("ig", 3, 0, None): "637452356701ee5fd3f142c45ad9300e32ce353660f0a39c604a37de30d3a744",
+    ("pg", 3, 0, None): "30c52aee40729b632d0273f9431d408db0d07e45a3bad4c936b1cd4bfcbd5971",
+    ("pg-linked", 3, 0, None): "a39368addb7371248f0f5133b4dc74c51b2107bc1e92ae6959c7b475c549fbe3",
+    ("pg-triangles", 3, 0, None): "a740926200719366fd6c62c5bbc202d900810505fc80c488d3d197e512596395",
+    ("ig", 3, 1, None): "c40623ef48280f0b3170750a76e5e68241c9dd6cbd0346557c81311f885ffb05",
+    ("pg", 3, 1, None): "3ebb3234251bcdbe06f23942d720c1dac10fd17aee715e325585d69493949462",
+    ("pg-linked", 3, 1, None): "2e8490dd510de94181dba44d440ac90bd61015f1097853c380e8c94247e52425",
+    ("pg-triangles", 3, 1, None): "474b85a1df30f412399f67e64bb06bb8913fc233bebf461c85199502fdd92c7b",
+    ("ig", 3, 2, None): "8d4eb07f40dc3ff2ae4aece5bf0197e2c5b4369931f63e7c37f241f41b310c03",
+    ("pg", 3, 2, None): "867e2958119b33e93ddac9594a45143ee358dbf012dfbd7bf9562dc7f5a5c9ca",
+    ("pg-linked", 3, 2, None): "da898ba9389200498b05557d6fefa0979a675a819ffadac9888116217f7b1fc7",
+    ("pg-triangles", 3, 2, None): "0c2ee1f1ddd8ade4d05e6dbe1c68b132b121fd490633750404856f764ac0d060",
+    ("ig", 4, 2, None): "71ae6e58f3b3b3c6863080846f35129dbd6f26b07015266e5d0256ff655b1a46",
+    ("pg", 4, 2, None): "8eb8d0c4a0d928a88650e4265d04cea5035acb56bb982313716688d8e5ff4e24",
+    ("pg-linked", 4, 2, None): "8ed6fe8c59362c8fa65acd7266a9c64016c4422932e25a87089f120dda57efc1",
+    ("pg-triangles", 4, 2, None): "50c3dae5efd875feeef727d78c73cb73aba5e763e20373ee00215e93e831aaba",
+    ("ig", 3, 1, "bfs"): "c40623ef48280f0b3170750a76e5e68241c9dd6cbd0346557c81311f885ffb05",
+    ("ig", 3, 1, "s"): "c40623ef48280f0b3170750a76e5e68241c9dd6cbd0346557c81311f885ffb05",
+    ("ig", 3, 1, "pg"): "781395bc7ef1d539599a76f227e2f3bfe8b09f656fbcb1f6b532332febc16279",
+}
+
+
+def test_presentation_bytes_pinned(capsys):
+    for (family, n, r, tree), digest in PRESENTATION_DIGESTS.items():
+        argv = ["presentation", "--family", family, "--n", str(n), "--rank", str(r)]
+        code, out = run(capsys, *argv, *(["--tree", tree] if tree else []))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, n, r, tree)
 
 
 @pytest.mark.parametrize("command", (

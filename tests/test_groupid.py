@@ -15,8 +15,10 @@ from diagfree.groupid import (
     perm_inv,
     permutation_group_order,
     smith_normal_form,
+    subgroup_hints,
     todd_coxeter,
 )
+from diagfree.present import subgroup_presentation
 
 S3 = GroupPresentation(("s1", "s2"), ((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)))
 
@@ -144,8 +146,8 @@ def test_label_check_matches_per_letter_inverses():
     from diagfree import verify
 
     d = verify.dclass("pn", 4, 2)
-    pres = verify._ig_presentation(4, 2)
-    labels = verify._labels_for(verify.monoid("pn", 4), d)
+    pres = subgroup_presentation(d, "ig", squares=verify.squares("pn", 4, 2))
+    labels = subgroup_hints(d, "ig").labels
     rng = random.Random(6)
     wrong = {name: tuple(rng.sample(range(4), 4)) for name in pres.generators}
     assert any(perm_inv(g) != g for g in wrong.values())

@@ -39,6 +39,7 @@ from diagfree.present import (
     presn_pg_squares,
     presn_pg_triangles,
     relator_key,
+    subgroup_presentation,
     tietze_simplify,
     to_cas_text,
     to_json_doc,
@@ -431,7 +432,8 @@ def test_tietze_record_gives_quotients(n, r):
     from diagfree import verify
 
     h = verify.monoid("pn", n)
-    pres = verify._ig_presentation(n, r)
+    d = verify.dclass("pn", n, r)
+    pres = subgroup_presentation(d, "ig", squares=verify.squares("pn", n, r))
     full = tietze_simplify(pres)
     capped = tietze_simplify(pres, budget=50)
     assert not capped.complete and capped.eliminations == 50
@@ -448,11 +450,9 @@ def _pinned_presentation(family, n, r):
     from diagfree import verify
 
     d = verify.dclass("pn", n, r)
-    if family == "pg":
-        return presn_pg_squares(d, t_pg(n, r), verify.squares("pn", n, r))
-    if family == "ig":
-        return verify._ig_presentation(n, r)
-    return presn_pg_triangles(d, linked_triangles(d), friendliness_tree(d, 0))
+    if family == "triangles":
+        return subgroup_presentation(d, "pg-triangles")
+    return subgroup_presentation(d, family, squares=verify.squares("pn", n, r))
 
 
 # sha256 of repr((record, kept)), taken with the elimination loop that
