@@ -11,14 +11,13 @@ from typing import Any, Sequence
 from .diagram import (
     FiniteStarSemigroup,
     Partition,
-    PartitionHandleBase,
     d_projection,
     eq_refines,
     involution,
     multiply,
     partition_from_blocks,
 )
-from .green import DClassData
+from .green import DClassData, friendly_products
 
 ORIENTATIONS = ("LR", "RL", "UD", "DU")
 HORIZONTAL = ("LR", "RL")
@@ -149,31 +148,48 @@ class SquareEntry:
     u: Any
 
 
+def _pair_triples(P: list, e_of_pair: dict) -> list[tuple]:
+    """(u, u u*, u*) for each friendly pair product u = p_i p_j of P:
+    u u* = p_i and u* = p_j p_i."""
+    return [(u, P[i], e_of_pair[(j, i)]) for (i, j), u in e_of_pair.items()]
+
+
 class _WitnessIndex:
     """Left/right identity sets over E(S), keyed by the projections of a
     D-class: u x = x iff u (x x*) = x x*, and dually.
 
-    The sets are int bitsets in which bit b stands for pool[b], and the pool
-    is in scan order.  For an idempotent u, u p = p holds iff p lies in
-    u S^1, which depends only on the R-class of u; in a regular *-semigroup
-    that class holds exactly one projection, q = u u*, and u S^1 = q S^1.
-    So the pool is grouped by q, and q p = p is tested once per distinct q
-    and projection p.  Since p* = p, p u = p holds exactly when u* p = p, so
+    The pool is E_D plus the idempotents of each class of higher rank
+    (all of E(S) for a class without a rank), all read off friendly
+    projection pairs: u = p q, with u u* = p and u* = q p.  The
+    sets are int bitsets in which bit b stands for pool[b], and the pool is
+    in scan order.  For an idempotent u, u p = p holds iff p lies in u S^1,
+    which depends only on the R-class of u; in a regular *-semigroup that
+    class holds exactly one projection, q = u u*, and u S^1 = q S^1.  So
+    the pool is grouped by q, and q p = p is tested once per distinct q and
+    projection p.  Since p* = p, p u = p holds exactly when u* p = p, so
     each right identity set comes from the left one through the involution.
     """
 
     def __init__(self, d: DClassData):
         h = d.handle
-        pool = h.idempotents()
-        if isinstance(h, PartitionHandleBase) and d.rank is not None:
-            pool = [u for u in pool if u.rank() >= d.rank]
-        self.pool = sorted(pool, key=lambda u: (_nt_of(h, u), h.sort_key(u)))
+        if d.rank is None:
+            classes, triples = [h.projections()], []
+        else:
+            by_rank: dict[int, list] = {}
+            for q in h.projections():
+                if q.rank() > d.rank:
+                    by_rank.setdefault(q.rank(), []).append(q)
+            classes = by_rank.values()
+            triples = _pair_triples(d.projections, d.e_of_pair)
+        for P in classes:
+            triples += _pair_triples(P, friendly_products(h, P))
+        triples.sort(key=lambda t: (_nt_of(h, t[0]), h.sort_key(t[0])))
+        self.pool = [u for u, _, _ in triples]
         bit = {u: 1 << b for b, u in enumerate(self.pool)}
         # q -> [bits of the pool elements u with u u* = q, bits of their u*]
         groups: dict[Any, list[int]] = {}
-        for b, u in enumerate(self.pool):
-            s = h.star(u)
-            g = groups.setdefault(h.product(u, s), [0, 0])
+        for b, (u, q, s) in enumerate(triples):
+            g = groups.setdefault(q, [0, 0])
             g[0] |= 1 << b
             g[1] |= bit[s]
         self.lid: list[int] = []

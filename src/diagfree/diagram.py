@@ -340,7 +340,29 @@ def idempotent_components(a: Partition):
 
 
 def is_projection(a: Partition) -> bool:
-    return involution(a) == a and is_idempotent(a)
+    """a* = a = a a, read off the canonical labels without a product.
+
+    The top labels are 0..t-1.  The test: each point's bottom label is its
+    own top label or at least t, and top label -> bottom label is a
+    bijection.  Let A be the top points with label x.  The bijection makes
+    A' exactly the bottom points with one label y; y = x makes A u A' a
+    block, and y >= t (a label found only below) makes A and A' two
+    blocks.  So every block is A u A', A or A', with A a block exactly when
+    A' is, and such an a is a projection: a* = a, and a a keeps each block,
+    the middle copy A'' of each pair A, A' floating.  Conversely a
+    projection has this shape.  a* = a maps blocks to blocks, so a block
+    A u B' with A and B non-empty is its own mirror image (A = B) unless A
+    and B are disjoint, and then it and its mirror image B u A' would join
+    A to A' in a a; the mirror image of a block A is the block A'.
+    """
+    n = a.n
+    top, bottom = a.labels[:n], a.labels[n:]
+    t = max(top) + 1
+    image: dict[int, int] = {}
+    for x, y in zip(top, bottom):
+        if (y != x and y < t) or image.setdefault(x, y) != y:
+            return False
+    return len(set(bottom)) == len(image)
 
 
 def full_domain_projection(
@@ -450,7 +472,13 @@ class FiniteStarSemigroup:
     def is_idempotent(self, x) -> bool:
         return self.product(x, x) == x
 
+    def is_projection(self, x) -> bool:
+        return self.star(x) == x and self.is_idempotent(x)
+
     def idempotents(self) -> list:
+        """E(S) by one x x == x test per element: the reference list.  The
+        D-class pipeline reads E_D off friendly projection pairs instead
+        (`green.friendly_products`)."""
         if self._idempotents is None:
             self._idempotents = [x for x in self.elements() if self.is_idempotent(x)]
         return self._idempotents
@@ -459,9 +487,7 @@ class FiniteStarSemigroup:
         if self._projections is None:
             if not self.has_star:
                 raise ValueError(f"{self.kind} has no involution")
-            self._projections = [
-                e for e in self.idempotents() if self.star(e) == e
-            ]
+            self._projections = [x for x in self.elements() if self.is_projection(x)]
         return self._projections
 
     def describe(self) -> str:
@@ -509,6 +535,9 @@ class PartitionHandleBase(FiniteStarSemigroup):
 
     def star(self, x: Partition) -> Partition:
         return involution(x)
+
+    def is_projection(self, x: Partition) -> bool:
+        return is_projection(x)
 
     def text(self, x: Partition) -> str:
         return x.to_text()

@@ -15,6 +15,7 @@ from typing import Any, Sequence
 
 from .diagram import (
     Partition,
+    PartitionMonoid,
     involution,
     partition_from_blocks,
     transformation_partition,
@@ -403,21 +404,28 @@ def named_tree(d: DClassData, kind: str = "auto") -> TreeSet:
     first P_0 projection), pg (contains P_D: T_pg at 1 <= r <= n-2, else
     the projection tree), rank0, the induced lex, fd and fc, or auto:
     T_rank0 at rank 0, T_s at 1 <= r <= n-2, bfs above, and the
-    projection tree for a class without a rank."""
+    projection tree for a class without a rank.  T_s, T_pg, T_rank0, lex,
+    fd and fc are built only for P_n: on another handle with a rank, auto
+    is bfs, pg the projection tree, and the others are refused."""
     n, r = getattr(d.handle, "n", None), d.rank
+    pn = isinstance(d.handle, PartitionMonoid)
     if kind == "auto":
         if r is None:
             kind = "pg"
+        elif not pn:
+            kind = "bfs"
         elif r == 0:
             kind = "rank0"
         else:
             kind = "s" if r <= n - 2 else "bfs"
-    if kind in ("lex", "fd", "fc", "s", "rank0") and r is None:
-        raise ValueError(f"--tree {kind} needs a monoid with a degree and a rank")
+    if kind in ("lex", "fd", "fc", "s", "rank0") and not pn:
+        raise ValueError(
+            f"--tree {kind} is a partition monoid tree; {d.handle.describe()} has none"
+        )
     if kind == "bfs":
         return spanning_tree_bfs(build_gh_graph(d))
     if kind == "pg":
-        if r is not None and 1 <= r <= n - 2:
+        if pn and 1 <= r <= n - 2:
             return t_pg(n, r)
         return spanning_tree_with_projections(build_gh_graph(d))
     if kind == "s":

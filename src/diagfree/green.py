@@ -94,19 +94,6 @@ class DClassData:
     def proj_index(self, p) -> int:
         return self._pindex[p]
 
-    def r_index_of(self, e) -> int:
-        """Index of the R-class of the idempotent e."""
-        h = self.handle
-        if self.is_star:
-            return self._pindex[h.product(e, h.star(e))]
-        return self._pindex[self._rkey(e)]
-
-    def l_index_of(self, e) -> int:
-        h = self.handle
-        if self.is_star:
-            return self._lindex[h.product(h.star(e), e)]
-        return self._lindex[self._lkey(e)]
-
     @staticmethod
     def _rkey(a):
         return (
@@ -122,37 +109,22 @@ class DClassData:
         )
 
     def finish(self) -> "DClassData":
-        """Build the lookup dictionaries; called once by `dclass_data`."""
+        """Build the index of `projections`; called once by `dclass_data`."""
         self._pindex = {p: i for i, p in enumerate(self.projections)}
-        self._lindex = {q: j for j, q in enumerate(self.lreps)}
         return self
 
     # -- invariants -------------------------------------------------------
 
     def check_invariants(self) -> None:
+        """For star handles: each friendly pair product p q is idempotent,
+        and (p, q) -> p q is injective, so E_D has one idempotent per
+        friendly pair.  The strata partition E_D."""
         h = self.handle
         if self.is_star:
-            # pq[(i, j)] = p_i p_j for the pairs with p_i p_j p_i = p_i; each
-            # product p_i p_j and (p_i p_j) p_i is made once
-            P = self.projections
-            pq = {}
-            for i, p in enumerate(P):
-                for j, q in enumerate(P):
-                    x = h.product(p, q)
-                    if h.product(x, p) == p:
-                        pq[(i, j)] = x
-            for i in range(len(P)):
-                for j in range(len(P)):
-                    fr = (i, j) in pq and (j, i) in pq
-                    assert ((i, j) in self.friendly) == fr, "friendliness mismatch"
-            assert len(self.friendly) == len(self.idempotents), (
-                "the map (p,q) -> pq must biject onto E_D"
-            )
             seen = set()
-            for (i, j) in self.friendly:
-                e = pq[(i, j)]
-                assert e == self.e_of_pair[(i, j)]
-                assert e not in seen
+            for e in self.e_of_pair.values():
+                assert h.product(e, e) == e, "a friendly pair product must be idempotent"
+                assert e not in seen, "the map (p,q) -> pq must be injective"
                 seen.add(e)
         if self.strata:
             total = sum(len(v) for v in self.strata.values())
@@ -162,9 +134,38 @@ class DClassData:
                     assert e.ntu() == k and e.ntd() == l
 
 
+def friendly_products(h: FiniteStarSemigroup, P: list) -> dict[tuple[int, int], Any]:
+    """p_i p_j for each friendly pair (i, j) of the projections P:
+    p_i p_j p_i = p_i and p_j p_i p_j = p_j.
+
+    In a regular *-semigroup such a product e is idempotent, with e e* = p_i
+    and e* e = p_j, so it lies in R(p_i) and L(p_j), and e* = p_j p_i.
+    Every idempotent e is (e e*)(e* e), the product of a friendly pair
+    (Nordahl and Scheiblich, Regular *-semigroups, 1978).  Friendly
+    projections are D-related, so over the projections of one D-class the
+    map is a bijection onto its idempotents.  Makes two products, p q and
+    (p q) p, per ordered pair.
+    """
+    prod = h.product
+    half = {}
+    for i, p in enumerate(P):
+        for j, q in enumerate(P):
+            x = prod(p, q)
+            if prod(x, p) == p:
+                half[(i, j)] = x
+    return {(i, j): x for (i, j), x in half.items() if (j, i) in half}
+
+
 def dclass_data(h: FiniteStarSemigroup, r: int | None = None) -> DClassData:
     """Assemble the D-class of rank r, or the unique non-zero class of an
-    adjacency semigroup (rank None, no strata)."""
+    adjacency semigroup (rank None, no strata).
+
+    For a star handle P_D is the class's part of `h.projections()` and
+    E_D the products of its friendly pairs (`friendly_products`), so no
+    element outside P_D is tested for idempotency.  A handle without
+    involution takes E_D from `h.idempotents()` and indexes rows and
+    columns by kernel and cokernel keys.  E_D is in canonical order, and
+    `e_of_pair` and `friendly` are filled in that order."""
     if isinstance(h, AdjacencySemigroup):
         r = None
         elems = [x for x in h.elements() if x != ADJ_ZERO]
@@ -175,14 +176,23 @@ def dclass_data(h: FiniteStarSemigroup, r: int | None = None) -> DClassData:
     if not elems:
         raise EmptyClassError(f"{h.describe()} has no elements of rank {r}")
     members = set(elems)
-    idem = [e for e in h.idempotents() if e in members]
     if h.has_star:
-        projections = [p for p in idem if h.star(p) == p]
+        projections = [p for p in h.projections() if p in members]
         lreps = projections
+        pairs = friendly_products(h, projections).items()
     else:
         rkeys = sorted({DClassData._rkey(a) for a in elems})
         lkeys = sorted({DClassData._lkey(a) for a in elems})
         projections, lreps = list(rkeys), list(lkeys)
+        rindex = {k: i for i, k in enumerate(rkeys)}
+        lindex = {k: j for j, k in enumerate(lkeys)}
+        pairs = [
+            ((rindex[DClassData._rkey(e)], lindex[DClassData._lkey(e)]), e)
+            for e in h.idempotents()
+            if e in members
+        ]
+    e_of_pair = dict(sorted(pairs, key=lambda item: h.sort_key(item[1])))
+    idem = list(e_of_pair.values())
     d = DClassData(
         handle=h,
         rank=r,
@@ -190,15 +200,11 @@ def dclass_data(h: FiniteStarSemigroup, r: int | None = None) -> DClassData:
         projections=projections,
         lreps=lreps,
         idempotents=idem,
-        friendly=set(),
-        e_of_pair={},
+        friendly=set(e_of_pair),
+        e_of_pair=e_of_pair,
         elements=elems,
     )
     d.finish()
-    for e in idem:
-        pair = (d.r_index_of(e), d.l_index_of(e))
-        d.friendly.add(pair)
-        d.e_of_pair[pair] = e
     if r is not None:
         for e in idem:
             d.strata.setdefault((e.ntu(), e.ntd()), []).append(e)

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 from .biorder import label
+from .diagram import PartitionMonoid
 from .green import DClassData
 from .ghgraph import p1_projections
 from .present import (
@@ -352,11 +353,12 @@ def subgroup_hints(
     d: DClassData, family: str, max_cosets: int = 10**6
 ) -> IdentifyHints:
     """Hints for the `family` presentation of `subgroup_presentation` over
-    d: ig and pg at rank r >= 1 get r and the label of each generator's
-    idempotent, and ig at 1 <= r <= n-2 also the quotient by the first P_1
-    projection, of order r! for Z x S_r."""
+    d: ig and pg of a P_n class at rank r >= 1 get r and the label of each
+    generator's idempotent, and ig at 1 <= r <= n-2 also the quotient by
+    the first P_1 projection, of order r! for Z x S_r.  Other handles get
+    no label map or quotient: both are P_n's."""
     h, r = d.handle, d.rank
-    if family not in ("ig", "pg") or r is None or r < 1:
+    if family not in ("ig", "pg") or not isinstance(h, PartitionMonoid) or r < 1:
         return IdentifyHints(max_cosets=max_cosets)
     labels = {gen_name_for_idempotent(h, e): label(e) for e in d.idempotents}
     quot = ()

@@ -10,6 +10,7 @@ from diagfree.biorder import (
     Square,
     _shared_columns,
     _WitnessIndex,
+    _nt_of,
     enumerate_linked_diamonds,
     enumerate_singular_squares,
     f_set,
@@ -218,9 +219,11 @@ def test_square_list_with_witnesses_pinned(monoid, n, r):
 
 
 def test_square_search_product_count():
-    """The search at (P_4, 2) makes 1,668 products for the witness index and
-    1,490 for the per-column and per-row product tables (28,986 without
-    reuse, 5,220 with one memoised product per corner and scanned bit)."""
+    """The search at (P_4, 2) makes 1,504 products for the witness index
+    (202 for the friendly pairs of ranks 3 and 4, 1,302 for q p = p) and
+    1,490 for the per-column and per-row product tables: 2,994 (28,986
+    without reuse, 5,220 with one memoised product per corner and scanned
+    bit, 3,158 when the pool was grouped by u u* products)."""
     h = PartitionMonoid(4)
     d = dclass_data(h, 2)
     calls = 0
@@ -233,7 +236,51 @@ def test_square_search_product_count():
 
     h.product = counted
     assert len(enumerate_singular_squares(d)) == 1656
-    assert calls <= 3200
+    assert calls <= 3000
+
+
+def reference_witness_index(d):
+    """The pool, lid and rid as built from the whole-monoid filter
+    h.idempotents(), grouping the pool by the products u u*."""
+    h = d.handle
+    pool = h.idempotents()
+    if d.rank is not None:
+        pool = [u for u in pool if u.rank() >= d.rank]
+    pool = sorted(pool, key=lambda u: (_nt_of(h, u), h.sort_key(u)))
+    bit = {u: 1 << b for b, u in enumerate(pool)}
+    groups = {}
+    for b, u in enumerate(pool):
+        g = groups.setdefault(h.product(u, h.star(u)), [0, 0])
+        g[0] |= 1 << b
+        g[1] |= bit[h.star(u)]
+    lid, rid = [], []
+    for p in d.projections:
+        lbits = rbits = 0
+        for q, g in groups.items():
+            if h.product(q, p) == p:
+                lbits |= g[0]
+                rbits |= g[1]
+        lid.append(lbits)
+        rid.append(rbits)
+    return pool, lid, rid
+
+
+@pytest.mark.parametrize(
+    "h, r",
+    [
+        (P4, 1),
+        (P4, 2),
+        (BrauerMonoid(5), 1),
+        (AdjacencySemigroup("abc", [("a", "b"), ("b", "c")]), None),
+        pytest.param(PartitionMonoid(5), 2, marks=pytest.mark.slow),
+        pytest.param(PartitionMonoid(5), 3, marks=pytest.mark.slow),
+    ],
+    ids=["P4r1", "P4r2", "B5r1", "path", "P5r2", "P5r3"],
+)
+def test_pair_built_witness_pool_matches_idempotent_filter(h, r):
+    d = dclass_data(h, r)
+    widx = _WitnessIndex(d)
+    assert (widx.pool, widx.lid, widx.rid) == reference_witness_index(d)
 
 
 def test_rank0_diamonds_tau_linked():

@@ -176,6 +176,27 @@ def test_identify_ig_31_exact_z(capsys):
 
 ADJACENCY_GRAPH = ["graph", "--monoid", "adjacency", "--graph", "C4", "--rank", "0"]
 DEGREE_TREES = ("s", "lex", "fd", "fc", "rank0")
+BRAUER_42 = ["--monoid", "brauer", "--n", "4", "--rank", "2"]
+
+
+def test_brauer_default_tree_is_bfs(capsys):
+    """P_n's trees are not trees of B_n's classes: auto is bfs for ig."""
+    argv = ["identify", "--monoid", "brauer", "--n", "4", "--rank", "0", "--family", "ig"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert (code, out) == run(capsys, *argv, "--tree", "bfs")
+    assert out.startswith("free of rank 4")
+    code, out = run(capsys, "identify", *BRAUER_42, "--family", "pg")
+    assert code == 0
+
+
+def test_brauer_gets_no_partition_hints(capsys):
+    """The S_r label map and the P_1 quotient generator are P_n's."""
+    code, out = run(capsys, "identify", *BRAUER_42, "--family", "ig", "--tree", "bfs")
+    assert code == 0
+    assert out.startswith("free of rank 19")
+    assert "label homomorphism" not in out
+    assert "quotient by" not in out
 
 
 @pytest.mark.parametrize("argv", (
@@ -197,6 +218,8 @@ DEGREE_TREES = ("s", "lex", "fd", "fc", "rank0")
         for kind in ("bfs", "pg")
     ),
     ["stats", "--monoid", "adjacency", "--graph", "MISSING", "--rank", "0"],
+    *(["identify", *BRAUER_42, "--family", "ig", "--tree", kind] for kind in ("s", "rank0")),
+    *(["graph", *BRAUER_42, "--tree", kind] for kind in DEGREE_TREES),
 ), ids=(
     "tree-s-rank0", "no-cache", "cache-dir",
     *(f"adjacency-tree-{kind}" for kind in DEGREE_TREES),
@@ -212,6 +235,8 @@ DEGREE_TREES = ("s", "lex", "fd", "fc", "rank0")
         for kind in ("bfs", "pg")
     ),
     "missing-graph-file",
+    *(f"brauer-identify-tree-{kind}" for kind in ("s", "rank0")),
+    *(f"brauer-graph-tree-{kind}" for kind in DEGREE_TREES),
 ))
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     missing = str(tmp_path / "missing.edges")

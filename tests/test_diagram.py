@@ -326,3 +326,16 @@ def test_partition_hash_and_order():
     b = partition_from_text(2, "1 2; 1' 2'")
     assert a == b and hash(a) == hash(b)
     assert sorted([identity(2), a]) == sorted([a, identity(2)])
+
+
+@pytest.mark.parametrize(
+    "h",
+    [PartitionMonoid(n) for n in (1, 2, 3, 4)] + [BrauerMonoid(n) for n in (2, 3, 4, 5)],
+    ids=["P1", "P2", "P3", "P4", "B2", "B3", "B4", "B5"],
+)
+def test_label_projection_test_matches_products(h):
+    """is_projection reads the canonical labels; the reference is a* = a
+    and a a = a by products, and projections() keeps the element order."""
+    reference = [a for a in h.elements() if involution(a) == a and multiply(a, a) == a]
+    assert [a for a in h.elements() if is_projection(a)] == reference
+    assert h.projections() == reference

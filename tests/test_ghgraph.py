@@ -64,7 +64,8 @@ def test_bfs_depth_on_rank0_class():
     g = build_gh_graph(d)
     t = spanning_tree_bfs(g, root=0)
     depth = {("L", 0): 0}
-    edges = [(d.r_index_of(e), d.l_index_of(e)) for e in t.edges]
+    place = {e: pair for pair, e in d.e_of_pair.items()}
+    edges = [place[e] for e in t.edges]
     frontier = [("L", 0)]
     while frontier:
         nxt = []
@@ -169,9 +170,11 @@ def test_t_fd_union_t_fc_two_components():
     union = set(t_fd(n, r).edges) | set(t_fc(n, r).edges)
     # count components of the union on the full vertex set
     nl = g.n_left
+    place = {e: pair for pair, e in d.e_of_pair.items()}
     adj = {}
     for e in union:
-        i, j = d.r_index_of(e), nl + d.l_index_of(e)
+        i, j = place[e]
+        j += nl
         adj.setdefault(i, []).append(j)
         adj.setdefault(j, []).append(i)
     seen = set()

@@ -5,7 +5,9 @@ from functools import lru_cache
 
 import pytest
 
+from diagfree.biorder import enumerate_singular_squares, linked_triangles
 from diagfree.diagram import (
+    AdjacencySemigroup,
     BrauerMonoid,
     PartitionMonoid,
     involution,
@@ -22,6 +24,7 @@ from diagfree.green import (
     right_ideal,
     sandwich_set,
 )
+from diagfree.present import FAMILIES, subgroup_presentation
 
 
 def test_counts_closed_formulas():
@@ -183,3 +186,79 @@ def test_sandwich_duplicate_evaluation_oracle_p4():
             if mul(mul(e, x), f) == mul(e, f) and mul(mul(f, x), e) == x
         ]
         assert first == second
+
+
+PATH = AdjacencySemigroup("abc", [("a", "b"), ("b", "c")])
+C4 = AdjacencySemigroup("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+PAIR_BUILT_CLASSES = [
+    *((PartitionMonoid(n), r) for n in (1, 2, 3, 4) for r in range(n + 1)),
+    *((BrauerMonoid(n), r) for n in (4, 5) for r in BrauerMonoid(n).ranks()),
+    (PATH, None),
+    (C4, None),
+    pytest.param(PartitionMonoid(5), 2, marks=pytest.mark.slow),
+    pytest.param(PartitionMonoid(5), 3, marks=pytest.mark.slow),
+]
+
+
+def reference_dclass(h, elems):
+    """P_D, E_D and e_of_pair read off the whole-monoid filter
+    h.idempotents(): e sits at (index of e e*, index of e* e)."""
+    members = set(elems)
+    idem = [e for e in h.idempotents() if e in members]
+    P = [e for e in idem if h.star(e) == e]
+    index = {p: i for i, p in enumerate(P)}
+    e_of_pair = {
+        (index[h.product(e, h.star(e))], index[h.product(h.star(e), e)]): e
+        for e in idem
+    }
+    return P, idem, e_of_pair
+
+
+@pytest.mark.parametrize(
+    "h, r",
+    PAIR_BUILT_CLASSES,
+    ids=lambda x: {id(PATH): "path", id(C4): "C4"}.get(id(x)) or getattr(x, "describe", x.__repr__)(),
+)
+def test_pair_built_dclass_matches_idempotent_filter(h, r):
+    d = dclass_data(h, r)
+    P, idem, e_of_pair = reference_dclass(h, d.elements)
+    assert d.projections == P
+    assert d.idempotents == idem
+    assert d.friendly == set(e_of_pair)
+    assert d.e_of_pair == e_of_pair
+    assert list(d.e_of_pair.values()) == idem
+
+
+def test_pipeline_never_filters_all_idempotents():
+    """The D-class, the square search, the linked triangles and every
+    presentation family read E_D off friendly projection pairs."""
+    h = PartitionMonoid(4)
+
+    def refuse():
+        raise RuntimeError("h.idempotents() called")
+
+    h.idempotents = refuse
+    d = dclass_data(h, 2)
+    squares = enumerate_singular_squares(d)
+    assert len(squares) == 1656
+    assert len(linked_triangles(dclass_data(h, 0))) == 992
+    for family in FAMILIES:
+        assert subgroup_presentation(d, family, squares=squares).generators
+
+
+def test_dclass_product_count():
+    """dclass_data at (P_4, 2) makes 2 |P_D|^2 = 1,922 products for the
+    friendly pairs and |E_D| = 331 for e e = e: 2,253 (6,724 with an
+    x x = x test over all of P_4)."""
+    h = PartitionMonoid(4)
+    calls = 0
+    product = h.product
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return product(x, y)
+
+    h.product = counted
+    assert len(dclass_data(h, 2).idempotents) == 331
+    assert calls <= 2400
