@@ -582,13 +582,6 @@ def label(e: Partition) -> tuple[int, ...]:
     return scale_down(label_prime(e))
 
 
-def perm_inverse(perm: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(perm)
-    for i, x in enumerate(perm):
-        out[x] = i
-    return tuple(out)
-
-
 def is_coxeter_idempotent(e: Partition) -> bool:
     """Label is an adjacent transposition (i, i+1)."""
     perm = label(e)

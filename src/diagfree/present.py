@@ -11,7 +11,6 @@ byte-for-byte reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .biorder import (
@@ -416,225 +415,157 @@ class SimplifyResult:
 def tietze_simplify(
     p: GroupPresentation, budget: int | None = None
 ) -> SimplifyResult:
-    """Deterministic elimination loop.
+    """Deterministic elimination in two stages.
 
-    Moves, applied to the least eliminable generator in the order of
-    (name, index): a generator equal to 1 (length-1 relator), a generator
-    equal to another generator or its inverse (length-2 relator on two
-    distinct generators), a generator occurring exactly once in exactly one
-    relator (the relator is solved for it and discarded), and, when nothing
-    else applies, a generator with a single occurrence in some relator
-    (that relator is solved for it and the value substituted everywhere).
-    Every move removes a generator, so the loop terminates.  Relators are
-    kept freely and cyclically reduced and deduplicated up to rotation and
-    inversion.  The output presents a group isomorphic to the input's.
+    `_collapse` first eliminates every generator that a relator makes equal
+    to 1 or to another generator or its inverse.  A plain loop then takes
+    the least eliminable generator in the order of (name, index) and
+    applies the first move that fits it: a generator equal to 1 (length-1
+    relator), a generator equal to another generator or its inverse
+    (length-2 relator on two distinct generators), a generator occurring
+    exactly once in exactly one relator (the relator is solved for it and
+    discarded), and, when nothing else applies, a generator with a single
+    occurrence in some relator (that relator is solved for it and the
+    value substituted everywhere).  Every move removes a generator, so the
+    loop terminates.  Relators are kept freely and cyclically reduced and
+    deduplicated up to rotation and inversion.  The output presents a
+    group isomorphic to the input's.  `budget` caps the eliminations of
+    both stages together.
 
-    The counts that decide the first three moves are kept per generator
-    and updated as relators come and go, and the next generator comes off
-    a lazy heap of name ranks, so an elimination costs work in proportion
-    to the relators it touches (the bookkeeping of Havas, Kenne,
-    Richardson and Robertson, "A Tietze transformation program", 1984).
-
-    Cost model.  Loading costs a free and cyclic reduction, a rotation
-    key and a count per letter for each input relator.  After that the
-    time goes to rewrites: each elimination rewrites every relator on the
-    eliminated generator, about a million rewrites each for PG and IG at
-    (P_5, 2), against at most a few dozen general moves, whose scan of
-    every relator is negligible there.  A rewrite is one pass over the
-    relator's letters that substitutes and freely reduces, one rotation
-    key, and three dict operations on keys.  It keeps the relator's id, so
-    the counts and generator sets change only for the value's letters and
-    for letters that cancel; a rewrite in which nothing cancels updates no
-    other generator's bookkeeping.
+    Cost model.  Almost every elimination on the suite's presentations is
+    an identification (at (P_5, 2), 99.6% set a generator equal to 1 or to
+    another generator or its inverse), and the collapse makes them all
+    without rewriting relators one elimination at a time: a pass rewrites
+    every relator once through `find`, which path compression keeps near
+    constant per letter, and takes one rotation key per survivor, and the
+    passes repeat until one eliminates nothing.  What the collapse leaves
+    is small (at most 26 generators and 219 relators for PG and IG at
+    (P_4, 2), (P_4, 1), (P_5, 2) and (P_5, 0), after two or three passes),
+    so the loop simply rescans every relator for each move.
     """
     names = p.generators
-    n = len(names)
-    order = sorted(range(1, n + 1), key=lambda g: (names[g - 1], g))
-    rank = [0] * (n + 1)
-    for r, g in enumerate(order):
-        rank[g] = r
-    # The relators by id: the word as first stored and its rotation key,
-    # None once dropped; a rewrite keeps the id.  `index` maps each key
-    # in use to its id.
-    words: list[Word | None] = []
-    keys: list[Word | None] = []
-    index: dict[Word, int] = {}
-    occ = [0] * (n + 1)
-    len1 = [0] * (n + 1)  # length-1 relators on g
-    len2 = [0] * (n + 1)  # length-2 relators on g and another generator
-    by_gen: list[set[int]] = [set() for _ in range(n + 1)]  # ids on g
-    # Name ranks of generators that may be eliminable by the first three
-    # moves.  Every change that can make a generator eligible pushes it;
-    # stale entries are dropped when they reach the top.
-    heap: list[int] = []
-
-    def short(w: Word, d: int) -> None:
-        """Add d to the length-1 or length-2 counts of w."""
-        if len(w) == 1:
-            a = abs(w[0])
-            len1[a] += d
-            heappush(heap, rank[a])
-        elif len(w) == 2:
-            a, b = abs(w[0]), abs(w[1])
-            if a != b:
-                len2[a] += d
-                len2[b] += d
-                heappush(heap, rank[a])
-                heappush(heap, rank[b])
-
-    def uncount(r: int, w: Word) -> None:
-        """Take the letters of w, stored as relator r, out of the counts."""
-        for x in w:
-            a = x if x > 0 else -x
-            c = occ[a] = occ[a] - 1
-            by_gen[a].discard(r)
-            if c == 1:
-                heappush(heap, rank[a])
-
-    for w in p.relators:
-        w = cyclic_reduce(w)
-        if not w:
-            continue
-        key = _rotation_key(w)
-        if key in index:
-            continue
-        r = index[key] = len(words)
-        words.append(w)
-        keys.append(key)
-        for x in w:
-            a = x if x > 0 else -x
-            c = occ[a] = occ[a] + 1
-            by_gen[a].add(r)
-            if c == 1:
-                heappush(heap, rank[a])
-        if len(w) <= 2:
-            short(w, 1)
-
-    record: list[tuple[int, Word]] = []
+    store, record = _collapse(p, budget)
     while True:
         if budget is not None and len(record) >= budget:
-            return _finish(names, words, record, False)
-        drop = None
-        while heap:
-            g = order[heap[0]]
-            if len1[g] or len2[g] or occ[g] == 1:
-                break
-            heappop(heap)
-        else:
-            # General elimination: a single occurrence inside some relator.
-            # Choose the substitution with the least growth of total relator
-            # length (ties by length, then names) rather than by generator
-            # name alone: name-first choices can wedge the collapse.
-            general: tuple | None = None
-            for r, w in enumerate(words):
-                if w is None:
-                    continue
-                counts: dict[int, int] = {}
-                for x in w:
-                    counts[abs(x)] = counts.get(abs(x), 0) + 1
-                for g, c in counts.items():
-                    if c != 1:
-                        continue
-                    delta = (occ[g] - 1) * (len(w) - 1) - len(w)
-                    cand = (delta, len(w), names[g - 1], keys[r], g, r)
-                    if general is None or cand < general:
-                        general = cand
-            if general is None:
-                return _finish(names, words, record, True)
-            g, drop = general[4], general[5]
-        if drop is not None:
-            value = _solve(words[drop], g)
-        elif len1[g]:
-            drop = index[(-g,)]  # the key of both (g,) and (-g,)
-            value = ()
-        elif len2[g]:
-            drop = index[
-                min(
-                    k
-                    for k in map(keys.__getitem__, by_gen[g])
-                    if len(k) == 2 and abs(k[0]) != abs(k[1])
-                )
-            ]
-            w = words[drop]
-            pos = 0 if abs(w[0]) == g else 1
-            x, y = w[pos], w[1 - pos]
-            value = (-y,) if x > 0 else (y,)
-        else:
-            (drop,) = by_gen[g]
-            value = _solve(words[drop], g)
-        w = words[drop]
-        del index[keys[drop]]
-        words[drop] = keys[drop] = None
-        uncount(drop, w)
-        if len(w) <= 2:
-            short(w, -1)
+            return _finish(names, store.values(), record, False)
+        move = _next_move(names, store)
+        if move is None:
+            return _finish(names, store.values(), record, True)
+        g, key = move
+        value = _solve(store.pop(key), g)
         record.append((g, value))
         inv = invert_word(value)
-        # Rewrite every relator on g in the order of their keys.  The counts
-        # change only where a letter of the value comes in or a pair of
-        # letters cancels; the occurrences of g are written off at the end.
-        # The rewrite is freely reduced in the same pass, over a list that
-        # starts with the sentinel 0 (no letter is 0), then cyclically.
-        for r in sorted(by_gen[g], key=keys.__getitem__):
-            w = words[r]
-            out = [0]
-            cut = []  # generators that lost occurrences to cancellation
+        # In the order of their keys: when two rewrites meet on one key,
+        # the first one's rotation is kept.
+        for key in sorted(k for k, w in store.items() if g in w or -g in w):
+            w = _cyclic_strip(_substitute(store.pop(key), g, value, inv))
+            if w:
+                store.setdefault(_rotation_key(w), w)
+
+
+def _collapse(
+    p: GroupPresentation, budget: int | None = None
+) -> tuple[dict[Word, Word], list[tuple[int, Word]]]:
+    """The first stage of `tietze_simplify`: eliminate every generator that
+    a relator makes equal to 1 or to another generator or its inverse.
+
+    A signed union-find holds the identifications.  A generator's parent
+    is itself while it is alive, 0 once it is set equal to 1, and otherwise
+    the signed letter it was set equal to; `find` follows the parents to
+    the identity or a letter of a live generator and points every
+    generator on the way straight at it.  Each pass rewrites every relator
+    through `find` and reduces it freely and cyclically.  An empty relator
+    is dropped; one letter kills its generator; two letters on distinct
+    generators eliminate the one that comes first in the order of (name,
+    index) in favour of the other, so every recorded value is () or a
+    letter of a live generator.  Passes repeat until one eliminates
+    nothing, and no elimination is made once the record holds `budget`.
+
+    Returns the surviving relators over the input generators, keyed by
+    their rotation keys, and the record of eliminations.
+    """
+    names = p.generators
+    parent = list(range(len(names) + 1))
+    record: list[tuple[int, Word]] = []
+
+    def find(g: int) -> int:
+        path = []
+        while parent[g] not in (g, 0):
+            path.append(g)
+            g = abs(parent[g])
+        r = parent[g]
+        for x in reversed(path):
+            r = parent[x] = r if parent[x] > 0 else -r
+        return r
+
+    words: Iterable[Word] = p.relators
+    while True:
+        before = len(record)
+        kept: dict[Word, Word] = {}
+        for w in words:
+            out: list[int] = []
             for x in w:
-                if x == g:
-                    seq = value
-                elif x == -g:
-                    seq = inv
-                elif out[-1] == -x:
+                a = x if x > 0 else -x
+                if parent[a] != a:
+                    y = find(a)
+                    if not y:
+                        continue
+                    x = y if x > 0 else -y
+                if out and out[-1] == -x:
                     out.pop()
-                    a = x if x > 0 else -x
-                    c = occ[a] = occ[a] - 2
-                    cut.append(a)
-                    if c == 1:
-                        heappush(heap, rank[a])
-                    continue
                 else:
                     out.append(x)
-                    continue
-                for y in seq:
-                    a = y if y > 0 else -y
-                    if out[-1] == -y:
-                        out.pop()
-                        c = occ[a] = occ[a] - 1
-                        cut.append(a)
-                    else:
-                        out.append(y)
-                        c = occ[a] = occ[a] + 1
-                        by_gen[a].add(r)
-                    if c == 1:
-                        heappush(heap, rank[a])
-            i, j = 1, len(out) - 1
-            while i < j and out[i] == -out[j]:
-                a = abs(out[i])
-                c = occ[a] = occ[a] - 2
-                cut.append(a)
-                if c == 1:
-                    heappush(heap, rank[a])
-                i += 1
-                j -= 1
-            nw = tuple(out[i : j + 1])
-            for a in cut:
-                if a not in nw and -a not in nw:
-                    by_gen[a].discard(r)
-            del index[keys[r]]
-            if len(w) <= 2:
-                short(w, -1)
-            key = _rotation_key(nw) if nw else None
-            if key is None or key in index:
-                words[r] = keys[r] = None
-                uncount(r, nw)
+            w = _cyclic_strip(out)
+            if not w:
                 continue
-            index[key] = r
-            words[r] = nw
-            keys[r] = key
-            if len(nw) <= 2:
-                short(nw, 1)
-        occ[g] = 0
-        by_gen[g].clear()
+            if (budget is None or len(record) < budget) and (
+                len(w) == 1 or (len(w) == 2 and w[0] != w[1])
+            ):
+                g = min((names[abs(x) - 1], abs(x)) for x in w)[1]
+                value = _solve(w, g)
+                parent[g] = value[0] if value else 0
+                record.append((g, value))
+                continue
+            kept.setdefault(_rotation_key(w), w)
+        if len(record) == before:
+            return kept, record
+        words = kept.values()
+
+
+def _next_move(
+    names: Sequence[str], store: dict[Word, Word]
+) -> tuple[int, Word] | None:
+    """The generator the plain loop eliminates next and the key of the
+    relator it is solved from, or None when no move applies."""
+    occ: dict[int, int] = {}
+    where: dict[int, Word] = {}
+    moves = []
+    for key, w in store.items():
+        if len(w) == 1 or (len(w) == 2 and w[0] != w[1]):
+            moves.extend((names[abs(x) - 1], abs(x), len(w), key) for x in w)
+        for x in w:
+            occ[abs(x)] = occ.get(abs(x), 0) + 1
+            where[abs(x)] = key
+    moves.extend((names[g - 1], g, 3, where[g]) for g, c in occ.items() if c == 1)
+    if moves:
+        _, g, _, key = min(moves)
+        return g, key
+    # General elimination: a single occurrence inside some relator.  Choose
+    # the substitution with the least growth of total relator length (ties
+    # by length, then names) rather than by generator name alone:
+    # name-first choices can wedge the simplification.
+    general = None
+    for key, w in store.items():
+        counts: dict[int, int] = {}
+        for x in w:
+            counts[abs(x)] = counts.get(abs(x), 0) + 1
+        for g, c in counts.items():
+            if c != 1:
+                continue
+            cand = ((occ[g] - 1) * (len(w) - 1) - len(w), len(w), names[g - 1], key, g)
+            if general is None or cand < general:
+                general = cand
+    return None if general is None else (general[4], general[3])
 
 
 def _substitute(w: Word, g: int, value: Word, inverse: Word) -> list[int]:
@@ -672,7 +603,7 @@ def _finish(names, words, record, complete) -> SimplifyResult:
     kept = tuple(g for g in range(1, len(names) + 1) if g not in gone)
     renum = {g: i + 1 for i, g in enumerate(kept)}
     new_rels = []
-    for w in filter(None, words):
+    for w in words:
         assert all(abs(x) in renum for x in w)
         new_rels.append(tuple(renum[abs(x)] * (1 if x > 0 else -1) for x in w))
     new_rels.sort(key=lambda w: (len(w), w))

@@ -18,7 +18,6 @@ from .biorder import (
     is_ud_singular,
     label,
     nt_reducing_square_for,
-    perm_inverse,
     witness_orientations,
 )
 from .diagram import (
@@ -46,6 +45,7 @@ from .groupid import (
     abelianization,
     check_label_homomorphism,
     identify,
+    perm_inv,
     smith_normal_form,
     subgroup_hints,
     todd_coxeter,
@@ -433,7 +433,7 @@ def criterion_15() -> CriterionResult:
                 continue
             if is_projection(e) and any(label(e)[i] != i for i in range(e.rank())):
                 label_bad += 1
-            if label(involution(e)) != perm_inverse(label(e)):
+            if label(involution(e)) != perm_inv(label(e)):
                 label_bad += 1
     ok = not bad and label_bad == 0
     return CriterionResult(

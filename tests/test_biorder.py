@@ -26,7 +26,6 @@ from diagfree.biorder import (
     label_prime,
     linked_triangles,
     nt_reducing_square_for,
-    perm_inverse,
     projection_nt_square,
     scale_down,
     witness_orientations,
@@ -43,6 +42,7 @@ from diagfree.diagram import (
 )
 from diagfree.ghgraph import friendliness_tree
 from diagfree.green import dclass_data
+from diagfree.groupid import perm_inv
 from diagfree.present import presn_pg_linked, presn_pg_triangles, to_cas_text
 
 P2 = PartitionMonoid(2)
@@ -435,8 +435,8 @@ def test_labels_of_figure_elements():
 def test_label_star_inverse_exhaustive_e42():
     d = dclass_data(P4, 2)
     for e in d.idempotents:
-        assert label(involution(e)) == perm_inverse(label(e))
-        comp = [label(e)[perm_inverse(label(e))[i]] for i in range(2)]
+        assert label(involution(e)) == perm_inv(label(e))
+        comp = [label(e)[perm_inv(label(e))[i]] for i in range(2)]
         assert comp == [0, 1]
 
 

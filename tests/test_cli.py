@@ -103,6 +103,22 @@ def test_presentation_golden_linked_json(capsys):
     assert json.loads(out) == json.loads((GOLDEN / "pg_linked_p3_r0.json").read_text())
 
 
+def test_verify_reports_failures_and_exit_code(capsys, monkeypatch):
+    from diagfree import verify
+
+    ok = verify.CriterionResult(1, "passes", True, "pass detail")
+    bad = verify.CriterionResult(2, "fails", False, "fail detail")
+    monkeypatch.setattr(verify, "ALL_CRITERIA", [lambda: ok, lambda: bad])
+    code, out = run(capsys, "verify")
+    assert code == 1
+    assert "[PASS] criterion 1: passes\n" in out and "pass detail" not in out
+    assert "[FAIL] criterion 2: fails\n        fail detail\n" in out
+    assert out.endswith("1/2 criteria passed\n")
+    monkeypatch.setattr(verify, "ALL_CRITERIA", [lambda: ok])
+    code, out = run(capsys, "verify")
+    assert code == 0 and out.endswith("1/1 criteria passed\n")
+
+
 def test_presentation_deterministic(capsys):
     args = ("presentation", "--family", "ig", "--n", "3", "--rank", "0")
     _, out1 = run(capsys, *args)

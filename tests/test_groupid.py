@@ -205,8 +205,53 @@ def test_identify_unknown_carries_evidence():
     )
 
 
+def test_identify_coset_overflow_is_unknown():
+    """Both coset enumerations of identify end in an unknown verdict that
+    says which one ran out: the S_r route's, and the Z x S_r quotient's."""
+    from diagfree import verify
+
+    v = identify(S3, IdentifyHints(max_cosets=3))
+    assert v.kind == "unknown"
+    assert v.evidence[-1] == "coset enumeration exceeded 3 cosets"
+    d = verify.dclass("pn", 4, 2)
+    p = subgroup_presentation(d, "ig", squares=verify.squares("pn", 4, 2))
+    v = identify(p, subgroup_hints(d, "ig", max_cosets=1))
+    assert v.kind == "unknown"
+    assert v.evidence[-1] == "quotient enumeration incomplete"
+
+
 def test_verdict_json():
     v = identify(S3)
     doc = v.to_json()
     assert doc["kind"] == "finite" and doc["order"] == 6
     assert isinstance(doc["evidence"], list)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "r, want",
+    [
+        (2, {
+            "pg": "S_2 (order 2, certified)",
+            "ig": "consistent with Z x S_2 (finite part order 2, certification: partial)",
+        }),
+        (0, {"ig": "Z (free rank 1)"}),
+    ],
+    ids=["P5r2", "P5r0"],
+)
+def test_identify_degree5(r, want):
+    """PG(P(P_5)) at rank 2 is S_2, and IG(E(P_5)) is Z x S_2 at rank 2 and
+    Z at rank 0, with the default trees."""
+    from diagfree.biorder import enumerate_singular_squares
+    from diagfree.diagram import PartitionMonoid
+    from diagfree.green import dclass_data
+
+    d = dclass_data(PartitionMonoid(5), r)
+    squares = enumerate_singular_squares(d)
+    got = {
+        family: identify(
+            subgroup_presentation(d, family, squares=squares), subgroup_hints(d, family)
+        ).describe()
+        for family in want
+    }
+    assert got == want

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from diagfree import present
 from diagfree.biorder import (
     enumerate_linked_diamonds,
     enumerate_singular_squares,
@@ -406,23 +407,66 @@ def _random_presentation(rng):
 
 
 def _assert_matches_reference(p):
+    """tietze_simplify is the collapse followed by the reference loop, which
+    gets what is left of the budget."""
     for budget in (None, 3):
+        relators, record = present._collapse(p, budget)
+        collapsed = present._finish(
+            p.generators, relators.values(), record, True
+        ).presentation
+        rest = None if budget is None else budget - len(record)
+        want, complete, eliminations = reference_tietze_simplify(collapsed, rest)
         res = tietze_simplify(p, budget)
-        got = (res.presentation, res.complete, res.eliminations)
-        assert got == reference_tietze_simplify(p, budget)
-        assert len(res.record) == res.eliminations
+        assert (res.presentation, res.complete) == (want, complete)
+        assert res.eliminations == len(record) + eliminations == len(res.record)
+
+
+def _assert_collapse_sound(p):
+    """Every collapse sets a generator equal to 1 or to a letter of a live
+    generator, and no identification is left behind.  Every input relator
+    becomes trivial or, up to rotation and inversion, an output relator
+    when the record is substituted into it.  The abelianization is kept;
+    it is compared only up to 250 input relators, beyond which the input's
+    Smith form takes seconds."""
+    relators, record = present._collapse(p)
+    alive = set(range(1, len(p.generators) + 1))
+    for g, value in record:
+        alive.remove(g)
+        assert value == () or (len(value) == 1 and abs(value[0]) in alive)
+    words = relators.values()
+    assert all(len(w) > 2 or (len(w) == 2 and w[0] == w[1]) for w in words)
+    final = {}  # an eliminated generator as () or a letter of a survivor
+    for g, value in reversed(record):
+        if value and abs(value[0]) not in alive:
+            h = final[abs(value[0])]
+            value = h if value[0] > 0 else invert_word(h)
+        final[g] = value
+
+    def image(x):
+        value = final.get(abs(x), (abs(x),))
+        return value if x > 0 else invert_word(value)
+
+    keys = set(relators) | {()}
+    for w in p.relators:
+        assert relator_key([y for x in w for y in image(x)]) in keys
+    if len(p.relators) <= 250:
+        collapsed = present._finish(p.generators, words, record, True).presentation
+        assert abelianization(collapsed) == abelianization(p)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_tietze_matches_reference_families(n):
     for p in _suite_presentations(n):
         _assert_matches_reference(p)
+        _assert_collapse_sound(p)
 
 
 def test_tietze_matches_reference_random():
     rng = random.Random(2024)
     for _ in range(300):
-        _assert_matches_reference(_random_presentation(rng))
+        p = _random_presentation(rng)
+        _assert_matches_reference(p)
+        _assert_collapse_sound(p)
 
 
 @pytest.mark.parametrize("n,r", [(3, 1), (4, 2)])
@@ -455,18 +499,18 @@ def _pinned_presentation(family, n, r):
     return subgroup_presentation(d, family, squares=verify.squares("pn", n, r))
 
 
-# sha256 of repr((record, kept)), taken with the elimination loop that
-# rewrote each relator through separate remove, substitute and add steps.
-# The record is what `SimplifyResult.image` and `identify`'s quotient read,
-# so the eliminations, their order and their values must all stay put.
+# sha256 of repr((record, kept)), taken with `tietze_simplify` as the
+# union-find collapse followed by the rescanning loop.  The record is what
+# `SimplifyResult.image` and `identify`'s quotient read, so the
+# eliminations, their order and their values must all stay put.
 RECORD_DIGESTS = {
-    ("pg", 3, 1): "650503797f872ec1f07207b8e18dce630e4260bc3e830cce747a0e4dfe7e3da0",
-    ("ig", 3, 1): "f0dc60d843a252e144a90a7b5555ce3c6f67fc6b6a83c2ad9ce2eba5db376310",
-    ("pg", 4, 2): "7ba082058f0e86583ad23ca3ad3b3bae8e9fa4c9351315b0fde77e53a2cba8a6",
-    ("ig", 4, 2): "6711dbcc515ca1f5399800adc496845313964c942e7940d08fd80e30de281743",
-    ("triangles", 4, 0): "bf1495a74e84da51ffc18eaa5577c3f0df2cde1073f85206e782780408375532",
-    ("pg", 5, 3): "f61b1793ba0c930bb97857d76789915a91ce5134912b52cce72d92789d367252",
-    ("ig", 5, 3): "b69300a4ce70acc0a8417cec58b93a5cfea7b1dae51a0829ddc755847765b178",
+    ("pg", 3, 1): "d7615a6f3cd8b975d9bffd36b382e9501fce0a49d63d104db6a48c8e8d4507b5",
+    ("ig", 3, 1): "2cd6b58bf3e36a43fbd019ee025d62fdc25ccafeccd8685ce2ad5cda617591c7",
+    ("pg", 4, 2): "8ef8193cd8df5f1b4651b789d3650b12d56ae593c171ba6ef03588a797cd9268",
+    ("ig", 4, 2): "cd473386ecf2d7e5f408131751471076128421d160ae345c4804f3cf06c09be2",
+    ("triangles", 4, 0): "f14f593016b48796766b981baaae220aaa2f5ea50567622d571ddb552d411ca1",
+    ("pg", 5, 3): "6ee595cffff11a3bc1753ce96d19cbec8e511bef298aceae88ecce333e66f4c7",
+    ("ig", 5, 3): "b82929eb7b95101125d358beb9173ad087d4a15034ab9f6a535912317ca39648",
 }
 
 
