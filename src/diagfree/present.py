@@ -539,6 +539,8 @@ def _next_move(
     relator it is solved from, or None when no move applies."""
     occ: dict[int, int] = {}
     where: dict[int, Word] = {}
+    # (name, g, move, key), where move 1 solves a length-1 relator, 2 a
+    # length-2 relator and 3 the only relator that g occurs in.
     moves = []
     for key, w in store.items():
         if len(w) == 1 or (len(w) == 2 and w[0] != w[1]):
