@@ -79,14 +79,8 @@ def is_connected(g: GHGraph) -> bool:
 
 def spanning_tree_bfs(g: GHGraph, root: int = 0) -> TreeSet:
     """Deterministic BFS spanning tree of the full graph, rooted at left[root]."""
-    if not is_connected(g):
-        raise ValueError("graph is not connected")
     adj = g.adjacency()
     nl = g.n_left
-    edge_lookup = {}
-    for (i, j), e in g.edges.items():
-        edge_lookup[(i, nl + j)] = e
-        edge_lookup[(nl + j, i)] = e
     seen = {root}
     frontier = [root]
     edges = []
@@ -96,9 +90,11 @@ def spanning_tree_bfs(g: GHGraph, root: int = 0) -> TreeSet:
             for w in adj[v]:
                 if w not in seen:
                     seen.add(w)
-                    edges.append(edge_lookup[(v, w)])
+                    edges.append(g.edges[(v, w - nl) if v < nl else (w, v - nl)])
                     nxt.append(w)
         frontier = nxt
+    if len(seen) != len(adj):
+        raise ValueError("graph is not connected")
     d = g.dclass
     edges.sort(key=d.handle.sort_key)
     return TreeSet("generic", edges)

@@ -75,13 +75,8 @@ def smith_normal_form(M: list[list[int]]) -> list[int]:
                 A[t][j] += A[witness][j]
             continue
         t += 1
-    diag = []
-    for i in range(k):
-        v = abs(A[i][i]) if i < m and i < n else 0
-        diag.append(v)
-    # zeros can only trail by construction; normalize anyway
-    nonzero = [d for d in diag if d]
-    return nonzero + [0] * (k - len(nonzero))
+    # The pivots before t are nonzero and the block from (t, t) on is zero.
+    return [abs(A[i][i]) for i in range(k)]
 
 
 @dataclass(frozen=True)
@@ -115,13 +110,12 @@ def abelianization(p: GroupPresentation) -> AbelianInvariants:
 
 @dataclass
 class CosetTable:
-    status: str  # "complete" | "exceeded"
-    order: int | None
+    order: int | None  # None when the enumeration exceeded its limit
     cosets_defined: int
 
     @property
     def complete(self) -> bool:
-        return self.status == "complete"
+        return self.order is not None
 
 
 def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
@@ -129,11 +123,11 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
 
     Relator scanning with immediate deductions and ordered coset
     definition; deterministic.  If the table would exceed max_cosets the
-    enumeration stops with status "exceeded" (not a failure).
+    enumeration stops incomplete, with no order (not a failure).
     """
     ngens = len(p.generators)
     if ngens == 0:
-        return CosetTable("complete", 1, 1)
+        return CosetTable(1, 1)
     nl = 2 * ngens
     rels = []
     for w in p.relators:
@@ -262,9 +256,9 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
                             raise _Exceeded
             c += 1
     except _Exceeded:
-        return CosetTable("exceeded", None, defined)
+        return CosetTable(None, defined)
     live = sum(1 for c in range(len(rep)) if find(c) == c)
-    return CosetTable("complete", live, defined)
+    return CosetTable(live, defined)
 
 
 # -- label homomorphism -----------------------------------------------------------
@@ -346,7 +340,6 @@ class IdentifyHints:
     labels: dict[str, tuple[int, ...]] | None = None
     quotient_generators: tuple[str, ...] = ()
     max_cosets: int = 10**6
-    simplify_budget: int | None = None
 
 
 def subgroup_hints(
@@ -434,33 +427,30 @@ def identify(
     ev: list[str] = []
     simp = simplified
     if simp is None:
-        simp = tietze_simplify(p, hints.simplify_budget)
+        simp = tietze_simplify(p)
     q = simp.presentation
     ev.append(
         f"simplified to {len(q.generators)} generators, {len(q.relators)} relators"
         f" in {simp.eliminations} eliminations"
-        + ("" if simp.complete else " (budget exhausted)")
     )
-    label_check = None
+    r = hints.rank
+    sr_order = None  # r! when the label map is a homomorphism onto S_r
     if hints.labels is not None:
         label_check = check_label_homomorphism(p, hints.labels)
         ev.append(
             f"label homomorphism valid={label_check.valid}, "
             f"image order {label_check.image_order}"
         )
+        order = label_check.image_order
+        if label_check.valid and r is not None and order == math.factorial(r):
+            sr_order = order
     if not q.relators:
         if not q.generators:
-            if (
-                hints.rank is not None
-                and math.factorial(hints.rank) == 1
-                and label_check is not None
-                and label_check.valid
-                and label_check.image_order == 1
-            ):
+            if sr_order == 1:
                 return Verdict(
                     "finite",
                     order=1,
-                    tag=f"S_{hints.rank}",
+                    tag=f"S_{r}",
                     certification="certified",
                     evidence=ev,
                 )
@@ -468,20 +458,13 @@ def identify(
         return Verdict("free", rank=len(q.generators), evidence=ev)
     ab = abelianization(q)
     ev.append(f"abelianization: {ab.describe()}")
-    r = hints.rank
     if ab.free_rank == 0:
         ct = todd_coxeter(q, hints.max_cosets)
         if not ct.complete:
             ev.append(f"coset enumeration exceeded {hints.max_cosets} cosets")
             return Verdict("unknown", evidence=ev)
         ev.append(f"coset enumeration: order {ct.order}")
-        if (
-            r is not None
-            and label_check is not None
-            and ct.order == math.factorial(r)
-            and label_check.valid
-            and label_check.image_order == math.factorial(r)
-        ):
+        if ct.order == sr_order:
             return Verdict(
                 "finite",
                 order=ct.order,
@@ -500,7 +483,7 @@ def identify(
         qp = simp.quotient(
             (p.gen_index(name) + 1,) for name in hints.quotient_generators
         )
-        qsimp = tietze_simplify(qp, hints.simplify_budget)
+        qsimp = tietze_simplify(qp)
         ct = todd_coxeter(qsimp.presentation, hints.max_cosets)
         if ct.complete:
             ev.append(
@@ -509,14 +492,7 @@ def identify(
         else:
             ev.append("quotient enumeration incomplete")
             return Verdict("unknown", evidence=ev)
-        if (
-            r is not None
-            and torsion_ok
-            and ct.order == math.factorial(r)
-            and label_check is not None
-            and label_check.valid
-            and label_check.image_order == math.factorial(r)
-        ):
+        if torsion_ok and ct.order == sr_order:
             ev.append(
                 "certification is partial: the final direct-product step is "
                 "not mechanised"

@@ -384,15 +384,16 @@ class SimplifyResult:
     `record` lists the eliminations in order as pairs (g, value): input
     generator g (1-based) equals `value`, a word over the generators still
     present when g was eliminated.  `kept` lists the surviving input
-    generators in the order of the output's generators.  Both stay valid
-    when a budget cuts the simplification short.
+    generators in the order of the output's generators.
     """
 
     presentation: GroupPresentation
-    complete: bool
-    eliminations: int
     record: tuple[tuple[int, Word], ...]
     kept: tuple[int, ...]
+
+    @property
+    def eliminations(self) -> int:
+        return len(self.record)
 
     def image(self, word: Sequence[int]) -> Word:
         """A word over the input generators rewritten as an equal, freely
@@ -412,9 +413,7 @@ class SimplifyResult:
         return GroupPresentation(q.generators, q.relators + extra)
 
 
-def tietze_simplify(
-    p: GroupPresentation, budget: int | None = None
-) -> SimplifyResult:
+def tietze_simplify(p: GroupPresentation) -> SimplifyResult:
     """Deterministic elimination in two stages.
 
     `_collapse` first eliminates every generator that a relator makes equal
@@ -427,10 +426,9 @@ def tietze_simplify(
     discarded), and, when nothing else applies, a generator with a single
     occurrence in some relator (that relator is solved for it and the
     value substituted everywhere).  Every move removes a generator, so the
-    loop terminates.  Relators are kept freely and cyclically reduced and
-    deduplicated up to rotation and inversion.  The output presents a
-    group isomorphic to the input's.  `budget` caps the eliminations of
-    both stages together.
+    loop terminates, and it runs until no move applies.  Relators are kept
+    freely and cyclically reduced and deduplicated up to rotation and
+    inversion.  The output presents a group isomorphic to the input's.
 
     Cost model.  Almost every elimination on the suite's presentations is
     an identification (at (P_5, 2), 99.6% set a generator equal to 1 or to
@@ -444,13 +442,11 @@ def tietze_simplify(
     so the loop simply rescans every relator for each move.
     """
     names = p.generators
-    store, record = _collapse(p, budget)
+    store, record = _collapse(p)
     while True:
-        if budget is not None and len(record) >= budget:
-            return _finish(names, store.values(), record, False)
         move = _next_move(names, store)
         if move is None:
-            return _finish(names, store.values(), record, True)
+            return _finish(names, store.values(), record)
         g, key = move
         value = _solve(store.pop(key), g)
         record.append((g, value))
@@ -464,7 +460,7 @@ def tietze_simplify(
 
 
 def _collapse(
-    p: GroupPresentation, budget: int | None = None
+    p: GroupPresentation,
 ) -> tuple[dict[Word, Word], list[tuple[int, Word]]]:
     """The first stage of `tietze_simplify`: eliminate every generator that
     a relator makes equal to 1 or to another generator or its inverse.
@@ -479,7 +475,7 @@ def _collapse(
     generators eliminate the one that comes first in the order of (name,
     index) in favour of the other, so every recorded value is () or a
     letter of a live generator.  Passes repeat until one eliminates
-    nothing, and no elimination is made once the record holds `budget`.
+    nothing.
 
     Returns the surviving relators over the input generators, keyed by
     their rotation keys, and the record of eliminations.
@@ -518,9 +514,7 @@ def _collapse(
             w = _cyclic_strip(out)
             if not w:
                 continue
-            if (budget is None or len(record) < budget) and (
-                len(w) == 1 or (len(w) == 2 and w[0] != w[1])
-            ):
+            if len(w) == 1 or (len(w) == 2 and w[0] != w[1]):
                 g = min((names[abs(x) - 1], abs(x)) for x in w)[1]
                 value = _solve(w, g)
                 parent[g] = value[0] if value else 0
@@ -600,7 +594,7 @@ def _solve(w: Word, g: int) -> Word:
     return invert_word(rest) if w[i] > 0 else rest
 
 
-def _finish(names, words, record, complete) -> SimplifyResult:
+def _finish(names, words, record) -> SimplifyResult:
     gone = {g for g, _ in record}
     kept = tuple(g for g in range(1, len(names) + 1) if g not in gone)
     renum = {g: i + 1 for i, g in enumerate(kept)}
@@ -611,8 +605,6 @@ def _finish(names, words, record, complete) -> SimplifyResult:
     new_rels.sort(key=lambda w: (len(w), w))
     return SimplifyResult(
         GroupPresentation(tuple(names[g - 1] for g in kept), tuple(new_rels)),
-        complete,
-        len(record),
         tuple(record),
         kept,
     )

@@ -10,6 +10,7 @@ from diagfree.diagram import (
 )
 from diagfree.green import dclass_data
 from diagfree.ghgraph import (
+    GHGraph,
     build_gh_graph,
     e_p_edge,
     friendliness_tree,
@@ -56,6 +57,18 @@ def test_bfs_tree_properties():
     t = spanning_tree_bfs(g)
     assert len(t) == g.n_left + g.n_right - 1
     assert verify_spanning_tree(g, t)
+
+
+def test_bfs_tree_refuses_a_disconnected_graph():
+    """A BFS that misses a vertex refuses the graph, whether the isolated
+    vertex is the root or another one."""
+    d = dclass_data(P3, 1)
+    g = build_gh_graph(d)
+    for isolated in (0, 1):
+        cut = GHGraph(d, {ij: e for ij, e in g.edges.items() if ij[0] != isolated})
+        assert not is_connected(cut)
+        with pytest.raises(ValueError, match="graph is not connected"):
+            spanning_tree_bfs(cut)
 
 
 def test_bfs_depth_on_rank0_class():

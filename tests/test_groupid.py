@@ -1,6 +1,7 @@
 """Smith normal form, coset enumeration, labels, and the verdict pipeline."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -91,7 +92,7 @@ def test_todd_coxeter_small_groups():
 def test_todd_coxeter_incomplete_is_not_failure():
     free = GroupPresentation(("a", "b"), ())
     ct = todd_coxeter(free, max_cosets=200)
-    assert ct.status == "exceeded" and ct.order is None
+    assert not ct.complete and ct.order is None
 
 
 def test_todd_coxeter_invariance_under_shuffles():
@@ -197,12 +198,54 @@ def test_identify_unknown_carries_evidence():
     assert v.kind == "unknown"
     assert v.evidence[0] == "simplified to 2 generators, 2 relators in 0 eliminations"
     assert any("abelianization" in line for line in v.evidence)
-    capped = identify(
-        GroupPresentation(("a", "b"), ((1,), (2, 2))), IdentifyHints(simplify_budget=1)
-    )
-    assert capped.evidence[0] == (
-        "simplified to 1 generators, 1 relators in 1 eliminations (budget exhausted)"
-    )
+
+
+def test_identify_never_certifies_beyond_its_evidence():
+    """On each certifying route, a label map that is not a homomorphism,
+    or whose image order is not r!, gives no certified or partial tag: no
+    generators left (PG at (3, 1), S_1), Todd-Coxeter (S_3) and the
+    Z x S_2 quotient.  The first hints of each case certify."""
+    from diagfree import verify
+
+    d = verify.dclass("pn", 3, 1)
+    pg = subgroup_presentation(d, "pg", squares=verify.squares("pn", 3, 1))
+    pg_hints = subgroup_hints(d, "pg")
+    zs2 = GroupPresentation(("t", "x"), ((2, 2), (1, 2, -1, -2)))
+
+    def zs2_hints(t, x):
+        return IdentifyHints(rank=2, labels={"t": t, "x": x}, quotient_generators=("t",))
+
+    cases = [
+        (pg, "S_1 (order 1, certified)", [
+            pg_hints,
+            # every tree relator maps to a transposition
+            replace(pg_hints, labels={g: (1, 0) for g in pg.generators}),
+            # image order 1, not 2!
+            replace(pg_hints, rank=2),
+        ]),
+        (S3, "S_3 (order 6, certified)", [
+            IdentifyHints(rank=3, labels={"s1": (1, 0, 2), "s2": (0, 2, 1)}),
+            # onto S_3, but s2^2 maps to a 3-cycle
+            IdentifyHints(rank=3, labels={"s1": (1, 0, 2), "s2": (1, 2, 0)}),
+            # a homomorphism of image order 2
+            IdentifyHints(rank=3, labels={"s1": (1, 0, 2), "s2": (1, 0, 2)}),
+            # onto S_3, which is not of order 2!
+            IdentifyHints(rank=2, labels={"s1": (1, 0, 2), "s2": (0, 2, 1)}),
+        ]),
+        (zs2, "consistent with Z x S_2 (finite part order 2, certification: partial)", [
+            zs2_hints((0, 1), (1, 0)),
+            # t and x do not commute
+            zs2_hints((1, 0, 2), (0, 2, 1)),
+            # image order 1, not 2!
+            zs2_hints((0, 1), (0, 1)),
+        ]),
+    ]
+    for p, want, (good, *bad) in cases:
+        assert identify(p, good).describe() == want
+        for hints in bad:
+            v = identify(p, hints)
+            assert v.certification is None and v.tag is None, (want, hints)
+            assert "certif" not in v.describe()
 
 
 def test_identify_coset_overflow_is_unknown():
