@@ -18,6 +18,7 @@ from .diagram import (
     PartitionMonoid,
     involution,
     partition_from_blocks,
+    partition_projections,
     transformation_partition,
 )
 from .green import DClassData
@@ -308,19 +309,7 @@ def e_p_edge(p: Partition) -> Partition:
 
 def _projections_by_stratum(n: int, r: int, k: int) -> list[Partition]:
     """P_k(n, r): projections of rank r with exactly k upper blocks."""
-    from .diagram import projection_from_parts
-
-    total = r + k
-    out = []
-    if total > n or total < 1:
-        return out
-    for part in set_partitions_into(range(1, n + 1), total):
-        blocks = [sorted(b) for b in part]
-        for tset in itertools.combinations(range(total), r):
-            trans = [blocks[i] for i in tset]
-            nontrans = [blocks[i] for i in range(total) if i not in tset]
-            out.append(projection_from_parts(n, trans, nontrans))
-    return sorted(set(out), key=lambda e: e.labels)
+    return [p for p in partition_projections(n) if p.rank() == r and p.ntu() == k]
 
 
 def t_fd(n: int, r: int) -> TreeSet:
@@ -330,8 +319,8 @@ def t_fd(n: int, r: int) -> TreeSet:
     if not (1 <= r <= n - 2):
         raise ValueError("t_fd requires 1 <= r <= n-2")
     edges = set(t_lex(n, r).edges)
-    for k in range(1, n - r):
-        for p in _projections_by_stratum(n, r, k):
+    for p in partition_projections(n):
+        if p.rank() == r and 0 < p.ntu() < n - r:
             edges.add(e_p_edge(p))
     return TreeSet("T_fd", sorted(edges, key=lambda e: e.labels), scope="induced")
 
@@ -349,7 +338,8 @@ def t_s(n: int, r: int, s: Partition) -> TreeSet:
         raise ValueError("t_s requires 1 <= r <= n-2")
     if not (s.n == n and s.rank() == r and s.ntu() == 0 and is_projection(s)):
         raise ValueError("s must be a full-domain projection of rank r")
-    edges = set(t_fd(n, r).edges) | set(t_fc(n, r).edges) | {s}
+    fd = t_fd(n, r).edges
+    edges = set(fd) | {involution(e) for e in fd} | {s}
     return TreeSet("T_s", sorted(edges, key=lambda e: e.labels), scope="full")
 
 
@@ -358,8 +348,7 @@ def t_pg(n: int, r: int) -> TreeSet:
     if not (1 <= r <= n - 2):
         raise ValueError("t_pg requires 1 <= r <= n-2")
     edges = set(t_fd(n, r).edges)
-    for k in range(0, n - r + 1):
-        edges.update(_projections_by_stratum(n, r, k))
+    edges.update(p for p in partition_projections(n) if p.rank() == r)
     return TreeSet("T_pg", sorted(edges, key=lambda e: e.labels), scope="full")
 
 

@@ -7,7 +7,9 @@ handles without involution fall back to arbitrary class representatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from .diagram import (
@@ -74,6 +76,12 @@ class DClassData:
     `e_of_pair` maps such a pair to the unique idempotent p_i p_j in it.
     The zero D-class of an adjacency semigroup is excluded: only the unique
     non-zero class is built.
+
+    `size` is |D| = |rows| |cols| |H|, read off the indices: the R- and
+    L-classes of D index its H-classes, which all have the order of a group
+    H-class.  That order is r! in P_n, B_n and T_n (the group H-class of a
+    rank-r projection or idempotent is S_r) and 1 in an adjacency class,
+    whose non-zero elements are pairwise H-inequivalent.
     """
 
     handle: FiniteStarSemigroup
@@ -84,12 +92,17 @@ class DClassData:
     idempotents: list          # E_D in canonical order
     friendly: set[tuple[int, int]]
     e_of_pair: dict[tuple[int, int], Any]
-    elements: list
     strata: dict[tuple[int, int], list] = field(default_factory=dict)
 
     @property
     def is_star(self) -> bool:
         return self.handle.has_star
+
+    @cached_property
+    def elements(self) -> list:
+        """The members of D, by a filter over the whole monoid: a reference
+        for the tests, which no pipeline stage reads."""
+        return [x for x in self.handle.elements() if _in_class(x, self.rank)]
 
     def proj_index(self, p) -> int:
         return self._pindex[p]
@@ -156,6 +169,12 @@ def friendly_products(h: FiniteStarSemigroup, P: list) -> dict[tuple[int, int], 
     return {(i, j): x for (i, j), x in half.items() if (j, i) in half}
 
 
+def _in_class(x, r: int | None) -> bool:
+    """Membership of the rank-r class, or of the non-zero adjacency class
+    when r is None."""
+    return x != ADJ_ZERO if r is None else x.rank() == r
+
+
 def dclass_data(h: FiniteStarSemigroup, r: int | None = None) -> DClassData:
     """Assemble the D-class of rank r, or the unique non-zero class of an
     adjacency semigroup (rank None, no strata).
@@ -164,45 +183,42 @@ def dclass_data(h: FiniteStarSemigroup, r: int | None = None) -> DClassData:
     E_D the products of its friendly pairs (`friendly_products`), so no
     element outside P_D is tested for idempotency.  A handle without
     involution takes E_D from `h.idempotents()` and indexes rows and
-    columns by kernel and cokernel keys.  E_D is in canonical order, and
-    `e_of_pair` and `friendly` are filled in that order."""
+    columns by the kernel and cokernel keys of its rank-r idempotents: in
+    a regular D-class every R- and every L-class holds one.  E_D is in
+    canonical order, and `e_of_pair` and `friendly` are filled in that
+    order.  The class is not listed: |D| = |rows| |cols| |H| (see
+    `DClassData`), so on P_n no stage here enumerates the monoid."""
     if isinstance(h, AdjacencySemigroup):
         r = None
-        elems = [x for x in h.elements() if x != ADJ_ZERO]
     elif r is None:
         raise EmptyClassError("a rank is required for partition-like handles")
-    else:
-        elems = [a for a in h.elements() if a.rank() == r]
-    if not elems:
-        raise EmptyClassError(f"{h.describe()} has no elements of rank {r}")
-    members = set(elems)
     if h.has_star:
-        projections = [p for p in h.projections() if p in members]
+        projections = [p for p in h.projections() if _in_class(p, r)]
         lreps = projections
         pairs = friendly_products(h, projections).items()
     else:
-        rkeys = sorted({DClassData._rkey(a) for a in elems})
-        lkeys = sorted({DClassData._lkey(a) for a in elems})
-        projections, lreps = list(rkeys), list(lkeys)
-        rindex = {k: i for i, k in enumerate(rkeys)}
-        lindex = {k: j for j, k in enumerate(lkeys)}
+        rank_idem = [e for e in h.idempotents() if _in_class(e, r)]
+        projections = sorted({DClassData._rkey(e) for e in rank_idem})
+        lreps = sorted({DClassData._lkey(e) for e in rank_idem})
+        rindex = {k: i for i, k in enumerate(projections)}
+        lindex = {k: j for j, k in enumerate(lreps)}
         pairs = [
             ((rindex[DClassData._rkey(e)], lindex[DClassData._lkey(e)]), e)
-            for e in h.idempotents()
-            if e in members
+            for e in rank_idem
         ]
+    if not projections:
+        raise EmptyClassError(f"{h.describe()} has no elements of rank {r}")
     e_of_pair = dict(sorted(pairs, key=lambda item: h.sort_key(item[1])))
     idem = list(e_of_pair.values())
     d = DClassData(
         handle=h,
         rank=r,
-        size=len(elems),
+        size=len(projections) * len(lreps) * (1 if r is None else math.factorial(r)),
         projections=projections,
         lreps=lreps,
         idempotents=idem,
         friendly=set(e_of_pair),
         e_of_pair=e_of_pair,
-        elements=elems,
     )
     d.finish()
     if r is not None:

@@ -6,7 +6,6 @@ from diagfree.diagram import (
     PartitionMonoid,
     TransformationMonoid,
     partition_from_blocks,
-    projection_from_parts,
 )
 from diagfree.green import dclass_data
 from diagfree.ghgraph import (
@@ -152,7 +151,7 @@ def test_t_lex_range_errors():
 
 def test_e_p_edge_example():
     # p with transversal classes {1}, {2} and one upper block {3, 4}
-    p = projection_from_parts(4, [[1], [2]], [[3, 4]])
+    p = partition_from_blocks(4, [[1, -1], [2, -2], [3, 4], [-3, -4]])
     e = e_p_edge(p)
     expected = partition_from_blocks(4, [{1, 3, 4, -1}, {2, -2}, {-3, -4}])
     assert e == expected

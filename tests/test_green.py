@@ -7,9 +7,11 @@ import pytest
 
 from diagfree.biorder import enumerate_singular_squares, linked_triangles
 from diagfree.diagram import (
+    ADJ_ZERO,
     AdjacencySemigroup,
     BrauerMonoid,
     PartitionMonoid,
+    TransformationMonoid,
     involution,
     multiply,
     partition_from_blocks,
@@ -24,6 +26,7 @@ from diagfree.green import (
     right_ideal,
     sandwich_set,
 )
+from diagfree.groupid import identify, subgroup_hints
 from diagfree.present import FAMILIES, subgroup_presentation
 
 
@@ -230,20 +233,37 @@ def test_pair_built_dclass_matches_idempotent_filter(h, r):
 
 
 def test_pipeline_never_filters_all_idempotents():
-    """The D-class, the square search, the linked triangles and every
-    presentation family read E_D off friendly projection pairs."""
+    """The D-class, the square search, the linked triangles, every
+    presentation family and `identify` read P_D off the generated
+    projections and E_D off friendly projection pairs: P_4 is never listed
+    and never filtered for x x = x."""
     h = PartitionMonoid(4)
 
-    def refuse():
-        raise RuntimeError("h.idempotents() called")
+    def refuse(name):
+        def refused():
+            raise RuntimeError(f"h.{name}() called")
 
-    h.idempotents = refuse
+        return refused
+
+    h.idempotents = refuse("idempotents")
+    h.elements = refuse("elements")
     d = dclass_data(h, 2)
     squares = enumerate_singular_squares(d)
     assert len(squares) == 1656
-    assert len(linked_triangles(dclass_data(h, 0))) == 992
-    for family in FAMILIES:
-        assert subgroup_presentation(d, family, squares=squares).generators
+    d0 = dclass_data(h, 0)
+    assert len(linked_triangles(d0)) == 992
+    presentations = {
+        family: subgroup_presentation(d, family, squares=squares) for family in FAMILIES
+    }
+    assert all(p.generators for p in presentations.values())
+    pg = identify(presentations["pg"], subgroup_hints(d, "pg"))
+    assert (pg.kind, pg.order, pg.tag, pg.certification) == ("finite", 2, "S_2", "certified")
+    ig = identify(presentations["ig"], subgroup_hints(d, "ig"))
+    assert (ig.kind, ig.order, ig.tag, ig.certification) == (
+        "z_cross_finite", 2, "S_2", "partial"
+    )
+    triangles = subgroup_presentation(d0, "pg-triangles")
+    assert identify(triangles, subgroup_hints(d0, "pg-triangles")).is_trivial
 
 
 def test_dclass_product_count():
@@ -262,3 +282,36 @@ def test_dclass_product_count():
     h.product = counted
     assert len(dclass_data(h, 2).idempotents) == 331
     assert calls <= 2400
+
+
+COUNTED_HANDLES = [
+    *(PartitionMonoid(n) for n in (1, 2, 3, 4)),
+    *(BrauerMonoid(n) for n in (2, 3, 4, 5)),
+    TransformationMonoid(3),
+    TransformationMonoid(4),
+    PATH,
+    C4,
+    pytest.param(PartitionMonoid(5), marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize(
+    "h",
+    COUNTED_HANDLES,
+    ids=lambda x: {id(PATH): "path", id(C4): "C4"}.get(id(x)) or x.describe(),
+)
+def test_dclass_size_is_counted_not_listed(h):
+    """|D| = |rows| |cols| |H| agrees with the class listed by a filter
+    over the whole monoid, and P(P_n) as generated is the generic
+    a* = a = a a filter over P_n, in order."""
+    for r in [None] if isinstance(h, AdjacencySemigroup) else h.ranks():
+        d = dclass_data(h, r)
+        if r is None:
+            reference = [x for x in h.elements() if x != ADJ_ZERO]
+        else:
+            reference = [x for x in h.elements() if h.rank(x) == r]
+        assert d.elements == reference
+        assert d.size == len(d.elements)
+    if isinstance(h, PartitionMonoid):
+        generic = [x for x in h.elements() if h.star(x) == x and h.is_idempotent(x)]
+        assert h.projections() == generic
