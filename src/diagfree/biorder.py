@@ -165,9 +165,10 @@ class _WitnessIndex:
     in scan order.  For an idempotent u, u p = p holds iff p lies in u S^1,
     which depends only on the R-class of u; in a regular *-semigroup that
     class holds exactly one projection, q = u u*, and u S^1 = q S^1.  So
-    the pool is grouped by q, and q p = p is tested once per distinct q and
-    projection p.  Since p* = p, p u = p holds exactly when u* p = p, so
-    each right identity set comes from the left one through the involution.
+    the pool is grouped by q, and q p = p, i.e. p <= q, is tested once per
+    distinct q and projection p, on projection keys.  Since p* = p, p u = p
+    holds exactly when u* p = p, so each right identity set comes from the
+    left one through the involution.
     """
 
     def __init__(self, d: DClassData):
@@ -192,12 +193,14 @@ class _WitnessIndex:
             g = groups.setdefault(q, [0, 0])
             g[0] |= 1 << b
             g[1] |= bit[s]
+        key, leq = h.projection_key, h.projection_leq
+        keyed = [(key(q), lbits, rbits) for q, (lbits, rbits) in groups.items()]
         self.lid: list[int] = []
         self.rid: list[int] = []
-        for p in d.projections:
+        for p in map(key, d.projections):
             lid = rid = 0
-            for q, (lbits, rbits) in groups.items():
-                if h.product(q, p) == p:
+            for q, lbits, rbits in keyed:
+                if leq(p, q):
                     lid |= lbits
                     rid |= rbits
             self.lid.append(lid)
@@ -349,14 +352,17 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
 
 def _conjugations(d: DClassData):
     """(p, items) for each projection p of the monoid, in canonical order:
-    items are the sorted index pairs (i, j) with p P[i] p = P[j]."""
+    items are the sorted index pairs (i, j) with θ_p(P[i]) = P[j],
+    computed on projection keys."""
     h = d.handle
-    P = d.projections
-    pidx = {p: i for i, p in enumerate(P)}
+    key, theta = h.projection_key, h.theta
+    P = [key(s) for s in d.projections]
+    pidx = {s: i for i, s in enumerate(P)}
     for p in h.projections():
+        kp = key(p)
         items = []
         for i, s in enumerate(P):
-            j = pidx.get(h.product(h.product(p, s), p))
+            j = pidx.get(theta(kp, s))
             if j is not None:
                 items.append((i, j))
         yield p, items

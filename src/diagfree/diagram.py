@@ -389,6 +389,53 @@ def r_projection(a: Partition) -> Partition:
     return full_domain_projection(a.n, a.coker())
 
 
+def projection_classes(p: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The class key of the projection p: its top classes as bitmasks of
+    [n] (bit i - 1 for point i), (transversal, non-transversal), sorted."""
+    n = p.n
+    trans: dict[int, int] = {}
+    non: dict[int, int] = {}
+    for i, (x, y) in enumerate(zip(p.labels[:n], p.labels[n:])):
+        side = trans if x == y else non
+        side[x] = side.get(x, 0) | 1 << i
+    return tuple(sorted(trans.values())), tuple(sorted(non.values()))
+
+
+def theta(p: tuple, s: tuple) -> tuple:
+    """θ_p(s) = p s p on class keys.  Each middle row of the product graph
+    is joined into the classes of J = p v s, and a J-class of one row
+    meets the same J-class of the other iff it meets a transversal class
+    of s.  So the non-transversal classes of p stay, and the transversal
+    classes of p inside one J-class merge into one class, transversal iff
+    that J-class meets a transversal class of s."""
+    tp, ts = sum(p[0]), sum(s[0])
+    join = [*p[0], *p[1]]
+    for c in (*s[0], *s[1]):
+        rest = []
+        for k in join:
+            if k & c:
+                c |= k
+            else:
+                rest.append(k)
+        join = rest + [c]
+    trans, non = [], list(p[1])
+    for k in join:
+        if k & tp:
+            (trans if k & ts else non).append(k & tp)
+    return tuple(sorted(trans)), tuple(sorted(non))
+
+
+def projection_leq(p: tuple, q: tuple) -> bool:
+    """p <= q, i.e. q p = p, on class keys.  As ker(q p) contains ker(q),
+    each class m of q must lie in a class C of p.  Then the top of q p
+    joins the transversal classes of q inside C, keeps the others apart,
+    and C is transversal in q p iff in p; so q p = p iff m is transversal
+    in q whenever C is transversal in p or C != m."""
+    return set(q[1]) <= set(p[1]) and all(
+        m & c in (0, m) for m in q[0] for c in (*p[0], *p[1])
+    )
+
+
 # -- twisted product -------------------------------------------------------
 
 
@@ -465,6 +512,19 @@ class FiniteStarSemigroup:
         if self._idempotents is None:
             self._idempotents = [x for x in self.elements() if self.is_idempotent(x)]
         return self._idempotents
+
+    # The projection algebra on keys made once per projection by
+    # `projection_key`: here the projections themselves, with products.
+    def projection_key(self, p):
+        return p
+
+    def theta(self, p, s):
+        """θ_p(s) = p s p."""
+        return self.product(self.product(p, s), p)
+
+    def projection_leq(self, p, q) -> bool:
+        """p <= q, i.e. q p = p."""
+        return self.product(q, p) == p
 
     def projections(self) -> list:
         if self._projections is None:
@@ -545,6 +605,11 @@ class PartitionHandleBase(FiniteStarSemigroup):
 
     def is_projection(self, x: Partition) -> bool:
         return is_projection(x)
+
+    # No products: the class keys of `projection_classes`.
+    projection_key = staticmethod(projection_classes)
+    theta = staticmethod(theta)
+    projection_leq = staticmethod(projection_leq)
 
     def text(self, x: Partition) -> str:
         return x.to_text()

@@ -309,7 +309,7 @@ def e_p_edge(p: Partition) -> Partition:
 
 def _projections_by_stratum(n: int, r: int, k: int) -> list[Partition]:
     """P_k(n, r): projections of rank r with exactly k upper blocks."""
-    return [p for p in partition_projections(n) if p.rank() == r and p.ntu() == k]
+    return [p for p in _rank_projections(n, r) if p.ntu() == k]
 
 
 def t_fd(n: int, r: int) -> TreeSet:
@@ -318,11 +318,19 @@ def t_fd(n: int, r: int) -> TreeSet:
     columns except the full-codomain ones."""
     if not (1 <= r <= n - 2):
         raise ValueError("t_fd requires 1 <= r <= n-2")
-    edges = set(t_lex(n, r).edges)
-    for p in partition_projections(n):
-        if p.rank() == r and 0 < p.ntu() < n - r:
-            edges.add(e_p_edge(p))
+    edges = _t_fd_edges(n, r, _rank_projections(n, r))
     return TreeSet("T_fd", sorted(edges, key=lambda e: e.labels), scope="induced")
+
+
+def _rank_projections(n: int, r: int) -> list[Partition]:
+    return [p for p in partition_projections(n) if p.rank() == r]
+
+
+def _t_fd_edges(n: int, r: int, projections: list[Partition]) -> set[Partition]:
+    """The edges of t_fd, given the rank-r projections."""
+    edges = set(t_lex(n, r).edges)
+    edges.update(e_p_edge(p) for p in projections if 0 < p.ntu() < n - r)
+    return edges
 
 
 def t_fc(n: int, r: int) -> TreeSet:
@@ -347,8 +355,9 @@ def t_pg(n: int, r: int) -> TreeSet:
     """t_fd together with every projection of the class; contains P_D."""
     if not (1 <= r <= n - 2):
         raise ValueError("t_pg requires 1 <= r <= n-2")
-    edges = set(t_fd(n, r).edges)
-    edges.update(p for p in partition_projections(n) if p.rank() == r)
+    projections = _rank_projections(n, r)
+    edges = _t_fd_edges(n, r, projections)
+    edges.update(projections)
     return TreeSet("T_pg", sorted(edges, key=lambda e: e.labels), scope="full")
 
 

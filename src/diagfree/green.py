@@ -16,6 +16,7 @@ from .diagram import (
     ADJ_ZERO,
     AdjacencySemigroup,
     FiniteStarSemigroup,
+    Partition,
     PartitionHandleBase,
 )
 
@@ -152,21 +153,29 @@ def friendly_products(h: FiniteStarSemigroup, P: list) -> dict[tuple[int, int], 
     p_i p_j p_i = p_i and p_j p_i p_j = p_j.
 
     In a regular *-semigroup such a product e is idempotent, with e e* = p_i
-    and e* e = p_j, so it lies in R(p_i) and L(p_j), and e* = p_j p_i.
-    Every idempotent e is (e e*)(e* e), the product of a friendly pair
-    (Nordahl and Scheiblich, Regular *-semigroups, 1978).  Friendly
-    projections are D-related, so over the projections of one D-class the
-    map is a bijection onto its idempotents.  Makes two products, p q and
-    (p q) p, per ordered pair.
+    and e* e = p_j, and e* = p_j p_i.  Every idempotent e is (e e*)(e* e),
+    the product of a friendly pair (Nordahl and Scheiblich, Regular
+    *-semigroups, 1978), so over the projections of one D-class the map is
+    a bijection onto its idempotents.  One product per ordered pair:
+    (p q)(p q)* = p q p, so p q R p iff p q p = p, and dually p q L q iff
+    q p q = q.  As p q <=_R p and p q <=_L q, in a finite semigroup both
+    hold iff p D q and p q D p.
     """
     prod = h.product
-    half = {}
+    cls = [_class_of(p) for p in P]
+    out = {}
     for i, p in enumerate(P):
         for j, q in enumerate(P):
             x = prod(p, q)
-            if prod(x, p) == p:
-                half[(i, j)] = x
-    return {(i, j): x for (i, j), x in half.items() if (j, i) in half}
+            if _class_of(x) == cls[i] == cls[j]:
+                out[(i, j)] = x
+    return out
+
+
+def _class_of(x):
+    """The D-class of x: its rank, or for an adjacency element whether it
+    is the zero."""
+    return x.rank() if isinstance(x, Partition) else x == ADJ_ZERO
 
 
 def _in_class(x, r: int | None) -> bool:

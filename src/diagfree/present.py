@@ -120,10 +120,6 @@ def gen_name_for_idempotent(h: FiniteStarSemigroup, e) -> str:
     return f"a[{h.text(e)}]"
 
 
-def gen_name_for_pair(h: FiniteStarSemigroup, p, q) -> str:
-    return f"a[{h.text(p)} | {h.text(q)}]"
-
-
 def _square_relators(
     d: DClassData, squares: Iterable[SquareEntry], gen_of: dict
 ) -> list[Word]:
@@ -193,16 +189,15 @@ def _pair_presentation(
     """Presentation on generators a_{p,q} for the friendly pairs: tree edges
     and diagonal generators trivial, a_{p,q} inverse to a_{q,p}, and one
     relator per quotient word, a sequence of (pair, +1 or -1) letters."""
-    h = d.handle
-    P = d.projections
+    text = [d.handle.text(p) for p in d.projections]
     pairs = sorted(d.friendly)
-    gens = tuple(gen_name_for_pair(h, P[i], P[j]) for (i, j) in pairs)
+    gens = tuple(f"a[{text[i]} | {text[j]}]" for (i, j) in pairs)
     gid = {pair: idx + 1 for idx, pair in enumerate(pairs)}
     tree_pairs = set(f_tree)
     if tree_pairs - gid.keys():
         raise ValueError("tree edge outside the friendliness relation")
     relators: list[Word] = [(gid[pair],) for pair in sorted(tree_pairs)]
-    relators.extend((gid[(i, i)],) for i in range(len(P)))
+    relators.extend((gid[(i, i)],) for i in range(len(text)))
     for (i, j) in pairs:
         if i < j and (j, i) in gid:
             relators.append((gid[(i, j)], gid[(j, i)]))

@@ -219,11 +219,12 @@ def test_square_list_with_witnesses_pinned(monoid, n, r):
 
 
 def test_square_search_product_count():
-    """The search at (P_4, 2) makes 1,504 products for the witness index
-    (202 for the friendly pairs of ranks 3 and 4, 1,302 for q p = p) and
-    1,490 for the per-column and per-row product tables: 2,994 (28,986
-    without reuse, 5,220 with one memoised product per corner and scanned
-    bit, 3,158 when the pool was grouped by u u* products)."""
+    """The search at (P_4, 2) makes 101 products for the witness index
+    (one per ordered pair of projections of ranks 3 and 4; q p = p is
+    tested on class keys) and 1,490 for the per-column and per-row
+    product tables: 1,591 (28,986 without reuse, 5,220 with one memoised
+    product per corner and scanned bit, 3,158 when the pool was grouped
+    by u u* products, 2,994 with products for q p = p)."""
     h = PartitionMonoid(4)
     d = dclass_data(h, 2)
     calls = 0
@@ -236,7 +237,20 @@ def test_square_search_product_count():
 
     h.product = counted
     assert len(enumerate_singular_squares(d)) == 1656
-    assert calls <= 3000
+    assert calls <= 1591
+
+
+def test_linked_triangles_make_no_products():
+    """At (P_4, 0) every θ_p(s) = p s p is computed on class keys: the
+    triangle scan makes no handle products (2,820 with two per pair)."""
+    h = PartitionMonoid(4)
+    d = dclass_data(h, 0)
+
+    def refused(x, y):
+        raise AssertionError("handle product in the triangle scan")
+
+    h.product = refused
+    assert len(linked_triangles(d)) == 992
 
 
 def reference_witness_index(d):

@@ -27,7 +27,10 @@ from diagfree.diagram import (
     multiply_with_floats,
     partition_from_blocks,
     partition_from_text,
+    projection_classes,
+    projection_leq,
     r_projection,
+    theta,
     twisted_multiply,
 )
 
@@ -339,3 +342,28 @@ def test_label_projection_test_matches_products(h):
     reference = [a for a in h.elements() if involution(a) == a and multiply(a, a) == a]
     assert [a for a in h.elements() if is_projection(a)] == reference
     assert h.projections() == reference
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        *(PartitionMonoid(n) for n in (1, 2, 3, 4)),
+        *(BrauerMonoid(n) for n in (2, 3, 4, 5)),
+        pytest.param(PartitionMonoid(5), marks=pytest.mark.slow),
+        pytest.param(BrauerMonoid(6), marks=pytest.mark.slow),
+    ],
+    ids=["P1", "P2", "P3", "P4", "B2", "B3", "B4", "B5", "P5", "B6"],
+)
+def test_class_key_algebra_matches_products(h):
+    """On every pair of projections, theta is p s p and projection_leq is
+    q p == p, as products give them; the handle methods are these kernels."""
+    P = h.projections()
+    key = {p: projection_classes(p) for p in P}
+    assert len(set(key.values())) == len(P)
+    for p in P:
+        for s in P:
+            assert theta(key[p], key[s]) == key[multiply(multiply(p, s), p)]
+            assert projection_leq(key[p], key[s]) == (multiply(s, p) == p)
+    assert (h.projection_key, h.theta, h.projection_leq) == (
+        projection_classes, theta, projection_leq
+    )

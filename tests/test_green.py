@@ -19,6 +19,7 @@ from diagfree.diagram import (
 from diagfree.green import (
     EmptyClassError,
     dclass_data,
+    friendly_products,
     d_related,
     l_related,
     left_ideal,
@@ -232,6 +233,41 @@ def test_pair_built_dclass_matches_idempotent_filter(h, r):
     assert list(d.e_of_pair.values()) == idem
 
 
+def two_product_friendly(h, P):
+    """p_i p_j for the pairs with p_i p_j p_i = p_i and p_j p_i p_j = p_j."""
+    half = {}
+    for i, p in enumerate(P):
+        for j, q in enumerate(P):
+            x = h.product(p, q)
+            if h.product(x, p) == p:
+                half[(i, j)] = x
+    return {(i, j): x for (i, j), x in half.items() if (j, i) in half}
+
+
+@pytest.mark.parametrize(
+    "h, r",
+    [
+        *((PartitionMonoid(n), r) for n in (1, 2, 3, 4) for r in range(n + 1)),
+        *((BrauerMonoid(n), r) for n in (2, 3, 4, 5) for r in BrauerMonoid(n).ranks()),
+        (PATH, None),
+        (C4, None),
+        (PATH, "pool"),
+        (C4, "pool"),
+    ],
+    ids=lambda x: {id(PATH): "path", id(C4): "C4"}.get(id(x)) or getattr(x, "describe", x.__repr__)(),
+)
+def test_friendly_products_match_two_product_definition(h, r):
+    """One product and a class test per ordered pair give the friendly
+    pairs of the definition, on each class and on the adjacency witness
+    pool, which mixes the zero class with the non-zero class."""
+    P = h.projections() if r == "pool" else dclass_data(h, r).projections
+    got = friendly_products(h, P)
+    assert got == two_product_friendly(h, P)
+    assert list(got) == sorted(got)
+    if r == "pool":
+        assert got[(0, 0)] == ADJ_ZERO and all(0 not in pair for pair in list(got)[1:])
+
+
 def test_pipeline_never_filters_all_idempotents():
     """The D-class, the square search, the linked triangles, every
     presentation family and `identify` read P_D off the generated
@@ -267,9 +303,9 @@ def test_pipeline_never_filters_all_idempotents():
 
 
 def test_dclass_product_count():
-    """dclass_data at (P_4, 2) makes 2 |P_D|^2 = 1,922 products for the
-    friendly pairs and |E_D| = 331 for e e = e: 2,253 (6,724 with an
-    x x = x test over all of P_4)."""
+    """dclass_data at (P_4, 2) makes |P_D|^2 = 961 products for the
+    friendly pairs and |E_D| = 331 for e e = e: 1,292 (2,253 with two
+    products per pair, 6,724 with an x x = x test over all of P_4)."""
     h = PartitionMonoid(4)
     calls = 0
     product = h.product
@@ -281,7 +317,7 @@ def test_dclass_product_count():
 
     h.product = counted
     assert len(dclass_data(h, 2).idempotents) == 331
-    assert calls <= 2400
+    assert calls <= 1292
 
 
 COUNTED_HANDLES = [
