@@ -211,15 +211,12 @@ def _shared_columns(d: DClassData) -> list[tuple[int, int, list[int]]]:
     """(i, k, C) for rows i < k sharing two or more group H-class columns,
     C sorted.  Each pair j < l in C is one candidate square (i, k; j, l): a
     non-degenerate 2x2 grid of group H-classes, canonically oriented."""
-    cols_of: dict[int, list[int]] = {}
-    for (i, j) in d.friendly:
-        cols_of.setdefault(i, []).append(j)
-    rows = sorted(cols_of)
+    cols = d.row_cols
     out = []
-    for a, i in enumerate(rows):
-        si = set(cols_of[i])
-        for k in rows[a + 1 :]:
-            common = sorted(si.intersection(cols_of[k]))
+    for i, ci in enumerate(cols):
+        si = set(ci)
+        for k in range(i + 1, len(cols)):
+            common = sorted(si.intersection(cols[k]))
             if len(common) > 1:
                 out.append((i, k, common))
     return out
@@ -227,7 +224,10 @@ def _shared_columns(d: DClassData) -> list[tuple[int, int, list[int]]]:
 
 def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
     """All non-degenerate singular squares of the D-class, deduplicated by
-    unordered row pair + unordered column pair + orientation class.
+    unordered row pair + unordered column pair + orientation class, in
+    strictly increasing (rows, cols, oclass) order: the grids are scanned
+    by row pair, then column pair, and "horizontal" comes before
+    "vertical".
 
     at[(i, j)] is the idempotent of row i and column j.  Each orientation
     is decided by one AND of bitsets, through product tables per column and
@@ -262,11 +262,6 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
     at = d.e_of_pair
     place = {e: pair for pair, e in at.items()}
     p = h.product
-    rows_in: list[list[int]] = [[] for _ in d.lreps]
-    cols_in: list[list[int]] = [[] for _ in d.projections]
-    for i, j in sorted(at):
-        rows_in[j].append(i)
-        cols_in[i].append(j)
     grids = _shared_columns(d)
 
     # need_col[j]: lid[i] & lid[k] & rid[l] over the candidates with left
@@ -294,7 +289,7 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
     for j, todo in enumerate(need_col):
         table: dict[int, int] = {}
         right.append(table)
-        for i in rows_in[j]:
+        for i in d.col_rows[j]:
             bits = todo & lid[i]
             todo ^= bits
             x = at[(i, j)]
@@ -308,7 +303,7 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
     for i, todo in enumerate(need_row):
         table = {}
         left.append(table)
-        for j in cols_in[i]:
+        for j in d.row_cols[i]:
             bits = todo & rid[j]
             todo ^= bits
             x = at[(i, j)]
@@ -343,7 +338,6 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
             if v:
                 u = pool[(v & -v).bit_length() - 1]
                 entries.append(SquareEntry((i, k), (j, l), "vertical", sq, vertical, u))
-    entries.sort(key=lambda s: (s.rows, s.cols, s.oclass))
     return entries
 
 
@@ -419,9 +413,13 @@ def is_linked_pair(h: FiniteStarSemigroup, p, s, u) -> bool:
 
 
 def is_linked_diamond(h: FiniteStarSemigroup, d: DClassData, s, u, v, w, p) -> bool:
+    """(s, u; v, w) over P_D is linked by p; False when a corner lies
+    outside P_D."""
     fr = d.friendly
-    i, j = d.proj_index(s), d.proj_index(u)
-    k, l = d.proj_index(v), d.proj_index(w)
+    try:
+        i, j, k, l = map(d.proj_index, (s, u, v, w))
+    except KeyError:
+        return False
     if not ((i, k) in fr and (i, l) in fr and (j, k) in fr and (j, l) in fr):
         return False
     return (

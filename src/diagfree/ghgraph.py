@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .diagram import (
     Partition,
@@ -62,20 +62,31 @@ def build_gh_graph(d: DClassData) -> GHGraph:
     return GHGraph(d, dict(d.e_of_pair))
 
 
+def _forest(g: GHGraph, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The positions of the edges (i, j) in `pairs` that join two
+    components of the edges before them: a spanning forest of g's vertices
+    grown in list order by union-find, over left i and right n_left + j.
+    It has |V| - 1 positions exactly when the edges connect g, and every
+    position exactly when they close no cycle."""
+    root = list(range(g.n_left + g.n_right))
+    taken = []
+    for pos, (a, b) in enumerate(pairs):
+        b += g.n_left
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        if a != b:
+            root[b] = a
+            taken.append(pos)
+    return taken
+
+
 def is_connected(g: GHGraph) -> bool:
     total = g.n_left + g.n_right
-    if total == 0:
-        return False
-    adj = g.adjacency()
-    seen = {0}
-    todo = [0]
-    while todo:
-        v = todo.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return len(seen) == total
+    return total > 0 and len(_forest(g, g.edges)) == total - 1
 
 
 def spanning_tree_bfs(g: GHGraph, root: int = 0) -> TreeSet:
@@ -112,32 +123,14 @@ def spanning_tree_with_projections(g: GHGraph) -> TreeSet:
     if not d.is_star:
         raise ValueError("requires a projection-indexed D-class")
     nl = g.n_left
-    parent = list(range(nl + g.n_right))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = []
-
-    def take(i: int, j: int, e) -> bool:
-        ri, rj = find(i), find(nl + j)
-        if ri == rj:
-            return False
-        parent[rj] = ri
-        edges.append(e)
-        return True
-
-    for i in range(nl):
-        take(i, i, d.e_of_pair[(i, i)])
-    for (i, j) in sorted(g.edges):
-        take(i, j, g.edges[(i, j)])
-    tree = TreeSet("generic-with-projections", sorted(edges, key=d.handle.sort_key))
-    if not verify_spanning_tree(g, tree):
+    pairs = [(i, i) for i in range(nl)] + sorted(g.edges)
+    if any(pair not in g.edges for pair in pairs[:nl]):
+        raise ValueError("graph lacks a projection edge")
+    taken = _forest(g, pairs)
+    if len(taken) != nl + g.n_right - 1:
         raise ValueError("graph is not connected")
-    return tree
+    edges = sorted((g.edges[pairs[k]] for k in taken), key=d.handle.sort_key)
+    return TreeSet("generic-with-projections", edges)
 
 
 def tree_scope(g: GHGraph, t: TreeSet) -> tuple[set[int], set[int]]:
@@ -171,40 +164,16 @@ def tree_scope(g: GHGraph, t: TreeSet) -> tuple[set[int], set[int]]:
 
 
 def verify_spanning_tree(g: GHGraph, t: TreeSet) -> bool:
-    """Edge membership, connectivity, and the tree edge count, on the stated
-    scope (full graph, or the induced subgraph the tree kind claims)."""
-    pairs = []
-    edge_set = {}
-    for (i, j), e in g.edges.items():
-        edge_set[e] = (i, j)
-    for e in t.edges:
-        if e not in edge_set:
-            return False
-        pairs.append(edge_set[e])
+    """Edge membership, then the tree test on the stated scope (full graph,
+    or the induced subgraph the tree kind claims): |V| - 1 edges inside the
+    scope that close no cycle."""
+    place = {e: pair for pair, e in g.edges.items()}
+    pairs = [place.get(e) for e in t.edges]
     left, right = tree_scope(g, t)
-    for (i, j) in pairs:
-        if i not in left or j not in right:
-            return False
-    if len(pairs) != len(left) + len(right) - 1:
+    if any(pair is None or pair[0] not in left or pair[1] not in right for pair in pairs):
         return False
-    # connectivity of the tree over the scope vertices
-    adj: dict[tuple[str, int], list] = {}
-    for (i, j) in pairs:
-        adj.setdefault(("L", i), []).append(("R", j))
-        adj.setdefault(("R", j), []).append(("L", i))
-    verts = {("L", i) for i in left} | {("R", j) for j in right}
-    if not verts:
-        return False
-    start = next(iter(sorted(verts)))
-    seen = {start}
-    todo = [start]
-    while todo:
-        v = todo.pop()
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen == verts
+    size = len(left) + len(right)
+    return len(pairs) == size - 1 and len(_forest(g, pairs)) == size - 1
 
 
 # -- named trees for the partition monoid -------------------------------------
@@ -437,17 +406,13 @@ def named_tree(d: DClassData, kind: str = "auto") -> TreeSet:
 def friendliness_tree(d: DClassData, root: int = 0) -> list[tuple[int, int]]:
     """Directed BFS spanning tree of the friendliness digraph, rooted at
     the projection with the given index; edges point away from the root."""
-    nbrs: dict[int, list[int]] = {}
-    for (i, j) in sorted(d.friendly):
-        if i != j:
-            nbrs.setdefault(i, []).append(j)
     seen = {root}
     frontier = [root]
     out: list[tuple[int, int]] = []
     while frontier:
         nxt = []
         for v in frontier:
-            for w in nbrs.get(v, ()):
+            for w in d.row_cols[v]:
                 if w not in seen:
                     seen.add(w)
                     out.append((v, w))

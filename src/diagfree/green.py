@@ -8,7 +8,8 @@ handles without involution fall back to arbitrary class representatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import KeysView
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
@@ -70,12 +71,16 @@ def left_ideal(h: FiniteStarSemigroup, a) -> frozenset:
 
 @dataclass
 class DClassData:
-    """A regular D-class with projection-indexed structure.
+    """A regular D-class as its Graham-Houghton graph.
 
-    For star handles, `projections` indexes both the R- and the L-classes;
-    `friendly` holds the index pairs (i, j) whose H-class is a group, and
-    `e_of_pair` maps such a pair to the unique idempotent p_i p_j in it.
-    The zero D-class of an adjacency semigroup is excluded: only the unique
+    The vertices are the R- and L-classes: for star handles `projections`
+    indexes both.  The edges are the idempotents: `e_of_pair` maps each
+    friendly index pair (i, j), whose H-class is a group, to the unique
+    idempotent p_i p_j in it, in canonical order of E_D.  Every other fact
+    is read off these on first use: `friendly` (a view of the pairs),
+    `idempotents`, `size`, `strata`, the projection index, and `row_cols`
+    and `col_rows`, the ascending adjacency of the graph's two sides.  The
+    zero D-class of an adjacency semigroup is excluded: only the unique
     non-zero class is built.
 
     `size` is |D| = |rows| |cols| |H|, read off the indices: the R- and
@@ -87,23 +92,63 @@ class DClassData:
 
     handle: FiniteStarSemigroup
     rank: int | None
-    size: int
     projections: list          # P_D (star handles); R-class reps otherwise
     lreps: list                # == projections for star handles
-    idempotents: list          # E_D in canonical order
-    friendly: set[tuple[int, int]]
-    e_of_pair: dict[tuple[int, int], Any]
-    strata: dict[tuple[int, int], list] = field(default_factory=dict)
+    e_of_pair: dict[tuple[int, int], Any]  # in canonical order of E_D
 
     @property
     def is_star(self) -> bool:
         return self.handle.has_star
+
+    @property
+    def size(self) -> int:
+        group = 1 if self.rank is None else math.factorial(self.rank)
+        return len(self.projections) * len(self.lreps) * group
+
+    @cached_property
+    def idempotents(self) -> list:
+        """E_D in canonical order."""
+        return list(self.e_of_pair.values())
+
+    @property
+    def friendly(self) -> KeysView[tuple[int, int]]:
+        """The friendly index pairs: a read-only view of `e_of_pair`."""
+        return self.e_of_pair.keys()
+
+    @cached_property
+    def strata(self) -> dict[tuple[int, int], list]:
+        """E_D grouped by (NTu, NTd); empty for a class without a rank."""
+        out: dict[tuple[int, int], list] = {}
+        if self.rank is not None:
+            for e in self.idempotents:
+                out.setdefault((e.ntu(), e.ntd()), []).append(e)
+        return out
+
+    @cached_property
+    def row_cols(self) -> list[list[int]]:
+        """row_cols[i]: the columns j of the idempotents in row i, ascending."""
+        out: list[list[int]] = [[] for _ in self.projections]
+        for i, j in sorted(self.e_of_pair):
+            out[i].append(j)
+        return out
+
+    @cached_property
+    def col_rows(self) -> list[list[int]]:
+        """col_rows[j]: the rows i of the idempotents in column j, ascending."""
+        out: list[list[int]] = [[] for _ in self.lreps]
+        for i, j in sorted(self.e_of_pair):
+            out[j].append(i)
+        return out
 
     @cached_property
     def elements(self) -> list:
         """The members of D, by a filter over the whole monoid: a reference
         for the tests, which no pipeline stage reads."""
         return [x for x in self.handle.elements() if _in_class(x, self.rank)]
+
+    @cached_property
+    def _pindex(self) -> dict:
+        return {p: i for i, p in enumerate(self.projections)}
 
     def proj_index(self, p) -> int:
         return self._pindex[p]
@@ -121,31 +166,6 @@ class DClassData:
             tuple(sorted(a.codom())),
             tuple(sorted(tuple(sorted(c)) for c in a.coker())),
         )
-
-    def finish(self) -> "DClassData":
-        """Build the index of `projections`; called once by `dclass_data`."""
-        self._pindex = {p: i for i, p in enumerate(self.projections)}
-        return self
-
-    # -- invariants -------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """For star handles: each friendly pair product p q is idempotent,
-        and (p, q) -> p q is injective, so E_D has one idempotent per
-        friendly pair.  The strata partition E_D."""
-        h = self.handle
-        if self.is_star:
-            seen = set()
-            for e in self.e_of_pair.values():
-                assert h.product(e, e) == e, "a friendly pair product must be idempotent"
-                assert e not in seen, "the map (p,q) -> pq must be injective"
-                seen.add(e)
-        if self.strata:
-            total = sum(len(v) for v in self.strata.values())
-            assert total == len(self.idempotents), "strata must partition E_D"
-            for (k, l), es in self.strata.items():
-                for e in es:
-                    assert e.ntu() == k and e.ntd() == l
 
 
 def friendly_products(h: FiniteStarSemigroup, P: list) -> dict[tuple[int, int], Any]:
@@ -193,10 +213,17 @@ def dclass_data(h: FiniteStarSemigroup, r: int | None = None) -> DClassData:
     element outside P_D is tested for idempotency.  A handle without
     involution takes E_D from `h.idempotents()` and indexes rows and
     columns by the kernel and cokernel keys of its rank-r idempotents: in
-    a regular D-class every R- and every L-class holds one.  E_D is in
-    canonical order, and `e_of_pair` and `friendly` are filled in that
-    order.  The class is not listed: |D| = |rows| |cols| |H| (see
-    `DClassData`), so on P_n no stage here enumerates the monoid."""
+    a regular D-class every R- and every L-class holds one.  `e_of_pair`
+    is filled in canonical order of E_D, and every other fact of the class
+    is derived from it on first use.  The class is not listed: |D| =
+    |rows| |cols| |H| (see `DClassData`), so on P_n no stage here
+    enumerates the monoid.
+
+    Nothing is re-checked here: that each friendly pair product is
+    idempotent, that the pair -> idempotent map is injective and that the
+    strata partition E_D follow from the Nordahl-Scheiblich bijection (see
+    `friendly_products`), and the tests check them against the x x = x
+    filter over the whole monoid."""
     if isinstance(h, AdjacencySemigroup):
         r = None
     elif r is None:
@@ -218,23 +245,7 @@ def dclass_data(h: FiniteStarSemigroup, r: int | None = None) -> DClassData:
     if not projections:
         raise EmptyClassError(f"{h.describe()} has no elements of rank {r}")
     e_of_pair = dict(sorted(pairs, key=lambda item: h.sort_key(item[1])))
-    idem = list(e_of_pair.values())
-    d = DClassData(
-        handle=h,
-        rank=r,
-        size=len(projections) * len(lreps) * (1 if r is None else math.factorial(r)),
-        projections=projections,
-        lreps=lreps,
-        idempotents=idem,
-        friendly=set(e_of_pair),
-        e_of_pair=e_of_pair,
-    )
-    d.finish()
-    if r is not None:
-        for e in idem:
-            d.strata.setdefault((e.ntu(), e.ntd()), []).append(e)
-    d.check_invariants()
-    return d
+    return DClassData(h, r, projections, lreps, e_of_pair)
 
 
 def sandwich_set(h: FiniteStarSemigroup, e, f) -> list:

@@ -123,16 +123,10 @@ def gen_name_for_idempotent(h: FiniteStarSemigroup, e) -> str:
 def _square_relators(
     d: DClassData, squares: Iterable[SquareEntry], gen_of: dict
 ) -> list[Word]:
-    """One relator a_e^-1 a_f a_h^-1 a_g per deduplicated (rows, cols) key."""
-    seen = set()
+    """One relator a_e^-1 a_f a_h^-1 a_g per deduplicated (rows, cols) key,
+    in the order of `squares` (the search's key order)."""
     out = []
-    for s in sorted(squares, key=lambda s: (s.rows, s.cols, s.oclass)):
-        key = (s.rows, s.cols)
-        if key in seen:
-            continue
-        seen.add(key)
-        i, k = key[0]
-        j, l = key[1]
+    for (i, k), (j, l) in dict.fromkeys((s.rows, s.cols) for s in squares):
         e = gen_of[d.e_of_pair[(i, j)]]
         f = gen_of[d.e_of_pair[(i, l)]]
         g = gen_of[d.e_of_pair[(k, j)]]

@@ -1,0 +1,49 @@
+"""The benchmark's span tracer against the library as it stands.
+
+`benchmarks/spans.py` wraps module attributes by name and `benchmarks/run.py`
+drives the passes; a rename in diagfree breaks `run.py --trace 1` without
+failing any library test.  These tests import both unchanged, check every
+wrapped attribute, and run one traced pass of the P_3 smoke workload in
+process against its pins, writing no files.
+"""
+
+import importlib
+import os
+import sys
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
+sys.path.insert(0, BENCH)
+
+import run  # noqa: E402
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_every_patched_attribute_resolves():
+    for mod, attr, layer in spans.PATCHES:
+        m = importlib.import_module(f"diagfree.{mod}")
+        assert callable(getattr(m, attr, None)), f"diagfree.{mod}.{attr}"
+        assert layer in spans.LAYERS
+
+
+def test_traced_smoke_pass_meets_pins():
+    wl = workloads.WORKLOADS["smoke_p3"]
+    originals = [
+        getattr(importlib.import_module(f"diagfree.{mod}"), attr)
+        for mod, attr, _ in spans.PATCHES
+    ]
+    tracer = spans.Tracer()
+    with tracer.installed():
+        p = run.run_pass(wl, range(len(wl.requests)), tracer)
+    assert p.check(workloads.PINS["smoke_p3"]) == 0
+    assert tracer.counts["biorder.squares_found"] == 240
+    assert tracer.counts["biorder.triangles_found"] == 63
+    assert tracer.products
+    traced = {name for name, *_ in tracer.spans}
+    assert {"green.dclass_data", "biorder.enumerate_singular_squares",
+            "biorder.linked_triangles", "groupid.identify"} <= traced
+    restored = [
+        getattr(importlib.import_module(f"diagfree.{mod}"), attr)
+        for mod, attr, _ in spans.PATCHES
+    ]
+    assert restored == originals

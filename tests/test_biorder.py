@@ -105,6 +105,25 @@ def test_enumerate_matches_brute_force_d31():
     assert fast == brute_force_singular_squares(d)
 
 
+C4 = AdjacencySemigroup("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+
+
+@pytest.mark.parametrize(
+    "h, r",
+    [
+        *((PartitionMonoid(n), r) for n in (2, 3, 4) for r in range(n + 1)),
+        *((BrauerMonoid(n), r) for n in (4, 5) for r in BrauerMonoid(n).ranks()),
+        (C4, None),
+    ],
+    ids=lambda x: "C4" if x is C4 else getattr(x, "describe", x.__repr__)(),
+)
+def test_square_list_in_strictly_increasing_key_order(h, r):
+    """The search emits its entries in strictly increasing (rows, cols,
+    oclass) order, which the square relators keep without a sort."""
+    keys = [(s.rows, s.cols, s.oclass) for s in enumerate_singular_squares(dclass_data(h, r))]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_enumerate_empty_at_rank_n_minus_1():
     assert enumerate_singular_squares(dclass_data(P3, 2)) == []
 
@@ -305,6 +324,20 @@ def test_rank0_diamonds_tau_linked():
     taut = full_domain_projection(3, [{1, 2, 3}])
     assert is_linked_diamond(P3, d, nab, sig, nab, tau, taut)
     assert is_linked_pair(P3, taut, nab, sig)
+
+
+def test_linked_diamond_false_outside_p_d():
+    """A corner that is a projection of another class is no vertex of the
+    D-class's graph, so the diamond is not linked (rather than a lookup
+    error)."""
+    d = dclass_data(P3, 1)
+    s = d.projections[0]
+    outside = next(p for p in P3.projections() if p.rank() == 2)
+    assert is_linked_diamond(P3, d, s, s, s, s, s)
+    for k in range(4):
+        corners = [s] * 4
+        corners[k] = outside
+        assert not is_linked_diamond(P3, d, *corners, s)
 
 
 def test_brauer_b4_diamonds_all_degenerate():

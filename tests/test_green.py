@@ -134,15 +134,28 @@ def test_group_h_class_count_oracle_p3():
         assert groups == len(d.idempotents)
 
 
-def test_strata_partition_and_tn_corner():
-    d = dclass_data(PartitionMonoid(4), 2)
-    total = sum(len(v) for v in d.strata.values())
-    assert total == len(d.idempotents)
-    corner = d.strata.get((0, 2), [])
-    expect = [e for e in d.idempotents if e.ntu() == 0 and e.ntd() == 2]
-    assert sorted(corner) == sorted(expect)
-    for e in expect:
-        assert all(len(c) == 1 for c in e.coker())  # transformations
+@pytest.mark.parametrize(
+    "h, r",
+    [
+        *((PartitionMonoid(n), r) for n in (1, 2, 3, 4) for r in range(n + 1)),
+        *((BrauerMonoid(n), r) for n in (4, 5) for r in BrauerMonoid(n).ranks()),
+        *((TransformationMonoid(n), r) for n in (3, 4) for r in range(1, n + 1)),
+    ],
+    ids=lambda x: getattr(x, "describe", x.__repr__)(),
+)
+def test_strata_partition_and_tn_corner(h, r):
+    """The strata partition E_D by (NTu, NTd), each in E_D order.  In P_n
+    the (0, n - r) stratum is the full-domain idempotents whose cokernel
+    is trivial: the transformations of the class."""
+    d = dclass_data(h, r)
+    flat = [e for es in d.strata.values() for e in es]
+    assert sorted(flat, key=h.sort_key) == d.idempotents
+    for (k, l), es in d.strata.items():
+        assert es and all((e.ntu(), e.ntd()) == (k, l) for e in es)
+        assert es == [e for e in d.idempotents if (e.ntu(), e.ntd()) == (k, l)]
+    if isinstance(h, PartitionMonoid):
+        for e in d.strata.get((0, h.n - r), []):
+            assert all(len(c) == 1 for c in e.coker())
 
 
 def test_sandwich_sets():
@@ -224,6 +237,10 @@ def reference_dclass(h, elems):
     ids=lambda x: {id(PATH): "path", id(C4): "C4"}.get(id(x)) or getattr(x, "describe", x.__repr__)(),
 )
 def test_pair_built_dclass_matches_idempotent_filter(h, r):
+    """E_D built from friendly pairs is the x x = x filter, one distinct
+    idempotent per pair: each pair product is idempotent and the map from
+    pairs to idempotents is injective, which dclass_data does not
+    re-check."""
     d = dclass_data(h, r)
     P, idem, e_of_pair = reference_dclass(h, d.elements)
     assert d.projections == P
@@ -303,9 +320,11 @@ def test_pipeline_never_filters_all_idempotents():
 
 
 def test_dclass_product_count():
-    """dclass_data at (P_4, 2) makes |P_D|^2 = 961 products for the
-    friendly pairs and |E_D| = 331 for e e = e: 1,292 (2,253 with two
-    products per pair, 6,724 with an x x = x test over all of P_4)."""
+    """dclass_data at (P_4, 2) makes |P_D|^2 = 961 products, one per
+    ordered pair of projections, and nothing else: the friendly-pair
+    invariants are checked in the tests, not on each build (1,292 with an
+    e e = e check over E_D, 2,253 with two products per pair, 6,724 with
+    an x x = x test over all of P_4)."""
     h = PartitionMonoid(4)
     calls = 0
     product = h.product
@@ -317,7 +336,7 @@ def test_dclass_product_count():
 
     h.product = counted
     assert len(dclass_data(h, 2).idempotents) == 331
-    assert calls <= 1292
+    assert calls <= 961
 
 
 COUNTED_HANDLES = [
