@@ -21,7 +21,6 @@ from .green import DClassData, friendly_products
 
 ORIENTATIONS = ("LR", "RL", "UD", "DU")
 HORIZONTAL = ("LR", "RL")
-VERTICAL = ("UD", "DU")
 
 
 @dataclass(frozen=True)
@@ -35,17 +34,6 @@ class Square:
 
     def corners(self):
         return (self.e, self.f, self.g, self.h)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.e == self.f or self.e == self.g
-
-
-@dataclass(frozen=True)
-class SingularWitness:
-    square: Square
-    orientation: str
-    u: Any
 
 
 @dataclass(frozen=True)
@@ -117,11 +105,11 @@ def _nt_of(h: FiniteStarSemigroup, u) -> int:
     return u.nt() if isinstance(u, Partition) else 0
 
 
-def find_singularizers(h: FiniteStarSemigroup, sq: Square) -> list[SingularWitness]:
-    """All witnesses, all four orientations, scanning E(S) in increasing NT(u)."""
+def find_singularizers(h: FiniteStarSemigroup, sq: Square) -> list[tuple[str, Any]]:
+    """All (orientation, u) witnesses of sq, scanning E(S) in increasing NT(u)."""
     pool = sorted(h.idempotents(), key=lambda u: (_nt_of(h, u), h.sort_key(u)))
     return [
-        SingularWitness(sq, orient, u)
+        (orient, u)
         for u in pool
         for orient in ORIENTATIONS
         if _CHECKS[orient](h, sq, u)
@@ -131,21 +119,28 @@ def find_singularizers(h: FiniteStarSemigroup, sq: Square) -> list[SingularWitne
 # -- D-class enumeration -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SquareEntry:
-    """One deduplicated singular square of a D-class.
-
-    rows/cols are unordered projection-index pairs; oclass is "horizontal"
-    or "vertical"; square holds the canonically oriented corners and u the
-    witness with the lowest pool bit, with its orientation for that layout.
-    """
+    """One deduplicated singular square of a D-class, as keys: rows and
+    cols are ascending index pairs (its corners are `square_at(d, rows,
+    cols)`), u is the witness with the lowest pool bit and orientation the
+    one it singularises that layout in."""
 
     rows: tuple[int, int]
     cols: tuple[int, int]
-    oclass: str
-    square: Square
     orientation: str
     u: Any
+
+    @property
+    def oclass(self) -> str:
+        return "horizontal" if self.orientation in HORIZONTAL else "vertical"
+
+
+def square_at(d: DClassData, rows: tuple[int, int], cols: tuple[int, int]) -> Square:
+    """The square of d's idempotents in rows (i, k) and columns (j, l)."""
+    (i, k), (j, l) = rows, cols
+    at = d.e_of_pair
+    return Square(at[(i, j)], at[(i, l)], at[(k, j)], at[(k, l)])
 
 
 def _pair_triples(P: list, e_of_pair: dict) -> list[tuple]:
@@ -316,9 +311,11 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
 
     entries = []
     for i, k, common in grids:
+        rows = (i, k)
         lik = lid[i] & lid[k]
         down, up = left[i].get(k, 0), left[k].get(i, 0)
-        for j, l in itertools.combinations(common, 2):
+        for cols in itertools.combinations(common, 2):
+            j, l = cols
             horizontal = "LR"
             w = right[j].get(l, 0) & lik
             if not w:
@@ -329,15 +326,12 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
             if not v:
                 vertical = "DU"
                 v = up & rid[j] & rid[l] if up else 0
-            if not (w or v):
-                continue
-            sq = Square(at[(i, j)], at[(i, l)], at[(k, j)], at[(k, l)])
             if w:
                 u = pool[(w & -w).bit_length() - 1]
-                entries.append(SquareEntry((i, k), (j, l), "horizontal", sq, horizontal, u))
+                entries.append(SquareEntry(rows, cols, horizontal, u))
             if v:
                 u = pool[(v & -v).bit_length() - 1]
-                entries.append(SquareEntry((i, k), (j, l), "vertical", sq, vertical, u))
+                entries.append(SquareEntry(rows, cols, vertical, u))
     return entries
 
 

@@ -14,7 +14,12 @@ import sys
 import traceback
 from pathlib import Path
 
-from .biorder import SquareEntry, enumerate_linked_diamonds, enumerate_singular_squares
+from .biorder import (
+    SquareEntry,
+    enumerate_linked_diamonds,
+    enumerate_singular_squares,
+    square_at,
+)
 from .diagram import (
     AdjacencySemigroup,
     BrauerMonoid,
@@ -100,7 +105,7 @@ def squares_to_doc(d: DClassData, squares: list[SquareEntry]) -> dict:
                 "rows": list(s.rows),
                 "cols": list(s.cols),
                 "oclass": s.oclass,
-                "corners": [h.text(x) for x in s.square.corners()],
+                "corners": [h.text(x) for x in square_at(d, s.rows, s.cols).corners()],
                 "orientation": s.orientation,
                 "witness": h.text(s.u),
             }

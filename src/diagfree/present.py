@@ -20,15 +20,9 @@ from .biorder import (
     enumerate_singular_squares,
     linked_triangles,
 )
+from . import ghgraph
 from .diagram import FiniteStarSemigroup
 from .green import DClassData
-from .ghgraph import (
-    TreeSet,
-    build_gh_graph,
-    friendliness_tree,
-    named_tree,
-    verify_spanning_tree,
-)
 
 Word = tuple[int, ...]
 
@@ -120,59 +114,57 @@ def gen_name_for_idempotent(h: FiniteStarSemigroup, e) -> str:
     return f"a[{h.text(e)}]"
 
 
-def _square_relators(
-    d: DClassData, squares: Iterable[SquareEntry], gen_of: dict
-) -> list[Word]:
+def _square_relators(squares: Iterable[SquareEntry], gid: dict) -> list[Word]:
     """One relator a_e^-1 a_f a_h^-1 a_g per deduplicated (rows, cols) key,
     in the order of `squares` (the search's key order)."""
     out = []
     for (i, k), (j, l) in dict.fromkeys((s.rows, s.cols) for s in squares):
-        e = gen_of[d.e_of_pair[(i, j)]]
-        f = gen_of[d.e_of_pair[(i, l)]]
-        g = gen_of[d.e_of_pair[(k, j)]]
-        hh = gen_of[d.e_of_pair[(k, l)]]
-        out.append(free_reduce((-e, f, -hh, g)))
-    return [w for w in out if w]
+        w = free_reduce((-gid[(i, j)], gid[(i, l)], -gid[(k, l)], gid[(k, j)]))
+        if w:
+            out.append(w)
+    return out
 
 
-def presn_ig(
-    d: DClassData, t: TreeSet, squares: Sequence[SquareEntry]
+def _tree_presentation(
+    d: DClassData, t: ghgraph.TreeSet, squares: Iterable[SquareEntry], star: bool
 ) -> GroupPresentation:
-    """Maximal-subgroup presentation over a spanning tree: a_e = 1 on the
-    tree, plus one quotient relation per singular square."""
-    h = d.handle
+    """Generators a_e for E_D in canonical order, numbered by friendly pair:
+    e = p_i p_j is generator gid[(i, j)].  Relators a_e = 1 on the tree,
+    one per singular square, and with `star` a_e a_{e*} = 1 for e <= e*,
+    read off the transposed pair: (p_i p_j)* = p_j p_i."""
     if t.scope != "full":
         raise ValueError(
             f"{t.kind} spans an induced subgraph, not the Graham-Houghton graph"
         )
-    if not verify_spanning_tree(build_gh_graph(d), t):
+    if not ghgraph.verify_spanning_tree(ghgraph.build_gh_graph(d), t):
         raise ValueError("tree does not span the Graham-Houghton graph")
-    gens = tuple(gen_name_for_idempotent(h, e) for e in d.idempotents)
-    gen_of = {e: idx + 1 for idx, e in enumerate(d.idempotents)}
-    relators: list[Word] = []
-    for e in sorted(t.edges, key=h.sort_key):
-        relators.append((gen_of[e],))
-    relators.extend(_square_relators(d, squares, gen_of))
+    gid = {pair: g for g, pair in enumerate(d.e_of_pair, 1)}
+    tree = set(t.edges)
+    relators = [(g,) for g, e in enumerate(d.idempotents, 1) if e in tree]
+    relators += _square_relators(squares, gid)
+    if star:
+        relators += [(g, gid[(j, i)]) for (i, j), g in gid.items() if g <= gid[(j, i)]]
+    gens = tuple(gen_name_for_idempotent(d.handle, e) for e in d.idempotents)
     return GroupPresentation(gens, tuple(relators))
 
 
+def presn_ig(
+    d: DClassData, t: ghgraph.TreeSet, squares: Sequence[SquareEntry]
+) -> GroupPresentation:
+    """Maximal-subgroup presentation over a spanning tree: a_e = 1 on the
+    tree, plus one quotient relation per singular square."""
+    return _tree_presentation(d, t, squares, star=False)
+
+
 def presn_pg_squares(
-    d: DClassData, t: TreeSet, squares: Sequence[SquareEntry]
+    d: DClassData, t: ghgraph.TreeSet, squares: Sequence[SquareEntry]
 ) -> GroupPresentation:
     """The same presentation with a_e a_{e*} = 1 adjoined; the tree must
     contain every projection of the class."""
-    h = d.handle
     tree = set(t.edges)
     if any(p not in tree for p in d.projections):
         raise ValueError("tree must contain every projection of the D-class")
-    base = presn_ig(d, t, squares)
-    gen_of = {e: idx + 1 for idx, e in enumerate(d.idempotents)}
-    inv_rel: list[Word] = []
-    for e in d.idempotents:
-        es = h.star(e)
-        if h.sort_key(e) <= h.sort_key(es):
-            inv_rel.append((gen_of[e], gen_of[es]))
-    return GroupPresentation(base.generators, base.relators + tuple(inv_rel))
+    return _tree_presentation(d, t, squares, star=True)
 
 
 def _pair_presentation(
@@ -254,7 +246,7 @@ def subgroup_presentation(
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if family in ("ig", "pg"):
-        t = named_tree(d, "pg" if family == "pg" and tree == "auto" else tree)
+        t = ghgraph.named_tree(d, "pg" if family == "pg" and tree == "auto" else tree)
         if squares is None:
             squares = enumerate_singular_squares(d)
         build = presn_ig if family == "ig" else presn_pg_squares
@@ -262,8 +254,8 @@ def subgroup_presentation(
     if tree != "auto":
         raise ValueError(f"{family} presents over the friendliness tree, not --tree {tree}")
     if family == "pg-linked":
-        return presn_pg_linked(d, enumerate_linked_diamonds(d), friendliness_tree(d, 0))
-    return presn_pg_triangles(d, linked_triangles(d), friendliness_tree(d, 0))
+        return presn_pg_linked(d, enumerate_linked_diamonds(d), ghgraph.friendliness_tree(d, 0))
+    return presn_pg_triangles(d, linked_triangles(d), ghgraph.friendliness_tree(d, 0))
 
 
 # -- semigroup presentation documents -------------------------------------------

@@ -18,6 +18,7 @@ from .biorder import (
     is_ud_singular,
     label,
     nt_reducing_square_for,
+    square_at,
     witness_orientations,
 )
 from .diagram import (
@@ -366,7 +367,7 @@ def criterion_14() -> CriterionResult:
         for entry in squares("pn", 3, r):
             if entry.orientation not in ("LR", "RL"):
                 continue
-            sq = entry.square
+            sq = square_at(d, entry.rows, entry.cols)
             if entry.orientation == "LR":
                 e, f, g, hh = sq.e, sq.f, sq.g, sq.h
             else:
@@ -460,7 +461,7 @@ def criterion_16() -> CriterionResult:
     hh3 = partition_from_blocks(3, [{1, -1, -2, -3}, {2, 3}])
     u = partition_from_blocks(3, [{1, -1}, {2, 3, -2, -3}])
     w3 = find_singularizers(h3, Square(e3, f3, g3, hh3))
-    ud_found = any(w.orientation == "UD" and w.u == u for w in w3)
+    ud_found = ("UD", u) in w3
     ok = not w1 and not w2 and ud_found
     return CriterionResult(
         16, "printed non-singular squares and the printed UD witness", ok,

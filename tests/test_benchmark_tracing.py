@@ -41,7 +41,8 @@ def test_traced_smoke_pass_meets_pins():
     assert tracer.products
     traced = {name for name, *_ in tracer.spans}
     assert {"green.dclass_data", "biorder.enumerate_singular_squares",
-            "biorder.linked_triangles", "groupid.identify"} <= traced
+            "biorder.linked_triangles", "groupid.identify",
+            "ghgraph.build_gh_graph", "ghgraph.verify_spanning_tree"} <= traced
     restored = [
         getattr(importlib.import_module(f"diagfree.{mod}"), attr)
         for mod, attr, _ in spans.PATCHES

@@ -1,13 +1,19 @@
 """Singular squares, linked diamonds and triangles, NT-reduction, labels."""
 
+import dataclasses
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from diagfree.biorder import (
     HORIZONTAL,
     Square,
+    SquareEntry,
     _shared_columns,
     _WitnessIndex,
     _nt_of,
@@ -28,6 +34,7 @@ from diagfree.biorder import (
     nt_reducing_square_for,
     projection_nt_square,
     scale_down,
+    square_at,
     witness_orientations,
 )
 from diagfree.diagram import (
@@ -41,7 +48,7 @@ from diagfree.diagram import (
     partition_from_blocks,
 )
 from diagfree.ghgraph import friendliness_tree
-from diagfree.green import dclass_data
+from diagfree.green import dclass_data, l_related, r_related
 from diagfree.groupid import perm_inv
 from diagfree.present import presn_pg_linked, presn_pg_triangles, to_cas_text
 
@@ -515,7 +522,57 @@ def test_coxeter_idempotent():
 
 
 def test_witness_orientations_consistency():
+    """Every entry's corners, read off the class, form a square (e R f,
+    g R h, e L g, f L h) that its witness singularises in its
+    orientation."""
+    for h, r, count in ((P3, 1, 240), (P4, 2, 1656), (BrauerMonoid(5), 1, 1800)):
+        d = dclass_data(h, r)
+        entries = enumerate_singular_squares(d)
+        assert len(entries) == count
+        for entry in entries:
+            sq = square_at(d, entry.rows, entry.cols)
+            assert r_related(h, sq.e, sq.f) and r_related(h, sq.g, sq.h)
+            assert l_related(h, sq.e, sq.g) and l_related(h, sq.f, sq.h)
+            assert entry.orientation in witness_orientations(h, sq, entry.u)
+
+
+def test_square_entry_holds_keys_only():
     d = dclass_data(P3, 1)
-    entries = enumerate_singular_squares(d)
-    for entry in entries[:60]:
-        assert entry.orientation in witness_orientations(P3, entry.square, entry.u)
+    entry = enumerate_singular_squares(d)[0]
+    assert not hasattr(entry, "__dict__")
+    fields = tuple(f.name for f in dataclasses.fields(SquareEntry))
+    assert fields == ("rows", "cols", "orientation", "u")
+    witnesses = find_singularizers(P3, square_at(d, entry.rows, entry.cols))
+    assert (entry.orientation, entry.u) in witnesses
+
+
+# A copy of the four corners in each entry would show here: with one, this
+# search peaked at 182 MB (CPython 3.11, x86-64 Linux); with keys only, at
+# 85 MB.
+SEARCH_RSS = """
+import resource
+from diagfree import PartitionMonoid
+from diagfree.biorder import enumerate_singular_squares
+from diagfree.green import dclass_data
+
+squares = enumerate_singular_squares(dclass_data(PartitionMonoid(5), 2))
+print(len(squares), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_square_search_memory_p5r2():
+    """The (P_5, 2) square search peaks at <= 150 MB RSS in a fresh
+    interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", SEARCH_RSS],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, kib = map(int, proc.stdout.split())
+    assert count == 421140
+    assert kib <= 150 * 1024

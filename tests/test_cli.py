@@ -137,6 +137,30 @@ def test_squares_dump(capsys):
     assert set(first) == {"rows", "cols", "oclass", "corners", "orientation", "witness"}
 
 
+# sha256 of `diagfree squares` stdout, the one output that prints corners.
+SQUARES_STDOUT_DIGESTS = {
+    "--n 3 --rank 1 --diamonds": "1e5c192eff3cb4d1440798961a3a61c4277e01dcfb070049b0f557e0d3eeb166",
+    "--n 4 --rank 2": "a3488333daf297405b2d2172a1b18993b23ae13edeae765c9bae8a2a74d273c4",
+    "--monoid brauer --n 5 --rank 1": "b82660d46baa61240949ee3407dc4370513054c7b153b9fa5943b9b84d1f5ff2",
+}
+
+
+@pytest.mark.parametrize("args", SQUARES_STDOUT_DIGESTS)
+def test_squares_stdout_pinned(capsys, args):
+    code, out = run(capsys, "squares", *args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SQUARES_STDOUT_DIGESTS[args]
+
+
+@pytest.mark.parametrize("command", ["identify", "presentation"])
+def test_p1_rank0_default_tree(capsys, command):
+    """auto picks bfs on P_1, where T_rank0 is undefined."""
+    code, out = run(capsys, command, "--n", "1", "--rank", "0")
+    assert code == 0
+    if command == "identify":
+        assert out.startswith("trivial")
+
+
 def test_graph_dot(capsys):
     code, out = run(
         capsys, "graph", "--monoid", "pn", "--n", "3", "--rank", "2",
