@@ -1,8 +1,13 @@
 """Diagram monoids (chiefly the partition monoid) and the maximal subgroups
 of the free idempotent-generated and free projection-generated semigroups
-attached to them."""
+attached to them.
+
+`import diagfree` loads only `diagram`; a name from `green`, `groupid` or
+`present` imports its module on first use."""
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .diagram import (  # noqa: F401
     AdjacencySemigroup,
@@ -19,20 +24,52 @@ from .diagram import (  # noqa: F401
     partition_from_text,
     twisted_multiply,
 )
-from .green import DClassData, dclass_data, sandwich_set  # noqa: F401
-from .groupid import (  # noqa: F401
-    IdentifyHints,
-    Verdict,
-    abelianization,
-    check_label_homomorphism,
-    identify,
-    smith_normal_form,
-    todd_coxeter,
-)
-from .present import (  # noqa: F401
-    GroupPresentation,
-    presn_ig,
-    presn_pg_linked,
-    presn_pg_squares,
-    tietze_simplify,
-)
+
+# Lazy exports (PEP 562): public name -> the module that defines it.
+_LAZY = {
+    "DClassData": "green",
+    "dclass_data": "green",
+    "sandwich_set": "green",
+    "IdentifyHints": "groupid",
+    "Verdict": "groupid",
+    "abelianization": "groupid",
+    "check_label_homomorphism": "groupid",
+    "identify": "groupid",
+    "smith_normal_form": "groupid",
+    "todd_coxeter": "groupid",
+    "GroupPresentation": "present",
+    "presn_ig": "present",
+    "presn_pg_linked": "present",
+    "presn_pg_squares": "present",
+    "tietze_simplify": "present",
+}
+
+__all__ = [
+    "AdjacencySemigroup",
+    "BrauerMonoid",
+    "Partition",
+    "PartitionMonoid",
+    "TransformationMonoid",
+    "TwistedElement",
+    "identity",
+    "involution",
+    "multiply",
+    "multiply_with_floats",
+    "partition_from_blocks",
+    "partition_from_text",
+    "twisted_multiply",
+    *_LAZY,
+]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

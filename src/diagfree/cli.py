@@ -132,7 +132,11 @@ def cmd_stats(args) -> int:
     g = build_gh_graph(d)
     print(f"monoid: {h.describe()}  rank: {d.rank}")
     print(f"|D| = {d.size}")
-    print(f"|P_D| = {len(d.projections)}")
+    if h.has_star:
+        print(f"|P_D| = {len(d.projections)}")
+    else:
+        print(f"R-classes = {len(d.projections)}")
+        print(f"L-classes = {len(d.lreps)}")
     print(f"|E_D| = {len(d.idempotents)}")
     print(f"GH graph: {g.n_left}+{g.n_right} vertices, {len(g.edges)} edges, "
           f"connected: {is_connected(g)}")

@@ -10,8 +10,7 @@ stable fingerprint.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DEGREE_CAP = 8
 
@@ -439,8 +438,7 @@ def projection_leq(p: tuple, q: tuple) -> bool:
 # -- twisted product -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwistedElement:
+class TwistedElement(NamedTuple):
     shift: int
     part: Partition
 

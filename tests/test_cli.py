@@ -51,6 +51,15 @@ def test_stats_brauer(capsys):
     assert "|P_D| = 3" in out and "|E_D| = 9" in out
 
 
+@pytest.mark.parametrize("rank,rows,cols", ((1, 1, 3), (2, 3, 3)))
+def test_stats_tn_counts_classes_not_projections(capsys, rank, rows, cols):
+    """T_n has no involution, so stats reports R- and L-classes, not P_D."""
+    code, out = run(capsys, "stats", "--monoid", "tn", "--n", "3", "--rank", str(rank))
+    assert code == 0
+    assert f"R-classes = {rows}\nL-classes = {cols}\n" in out
+    assert "P_D" not in out
+
+
 def test_identify_ig_rank0(capsys):
     code, out = run(capsys, "identify", "--family", "ig", "--n", "3", "--rank", "0")
     assert code == 0

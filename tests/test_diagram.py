@@ -225,6 +225,16 @@ def test_twisted_multiply():
     )
 
 
+def test_twisted_element_value_semantics():
+    x, y = TwistedElement(0, A6), TwistedElement(shift=0, part=A6)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x != TwistedElement(1, A6) and x != TwistedElement(0, B6)
+    assert (x.shift, x.part) == (0, A6) and x == (0, A6)
+    assert repr(x) == f"TwistedElement(shift=0, part={A6!r})"
+    with pytest.raises(AttributeError):
+        x.shift = 1
+
+
 def test_twisted_associativity_sampled():
     els = PartitionMonoid(3).elements()
     rng = random.Random(11)
