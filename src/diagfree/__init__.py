@@ -2,12 +2,10 @@
 of the free idempotent-generated and free projection-generated semigroups
 attached to them.
 
-`import diagfree` loads only `diagram`; a name from `green`, `groupid` or
-`present` imports its module on first use."""
+`import diagfree` loads only `diagram`; the other modules, and the names the
+package re-exports from `green`, `groupid` and `present`, load on first use."""
 
 __version__ = "0.1.0"
-
-import importlib
 
 from .diagram import (  # noqa: F401
     AdjacencySemigroup,
@@ -25,51 +23,42 @@ from .diagram import (  # noqa: F401
     twisted_multiply,
 )
 
-# Lazy exports (PEP 562): public name -> the module that defines it.
+# Lazy exports (PEP 562): each module loaded on first use -> the names the
+# package re-exports from it.
 _LAZY = {
-    "DClassData": "green",
-    "dclass_data": "green",
-    "sandwich_set": "green",
-    "IdentifyHints": "groupid",
-    "Verdict": "groupid",
-    "abelianization": "groupid",
-    "check_label_homomorphism": "groupid",
-    "identify": "groupid",
-    "smith_normal_form": "groupid",
-    "todd_coxeter": "groupid",
-    "GroupPresentation": "present",
-    "presn_ig": "present",
-    "presn_pg_linked": "present",
-    "presn_pg_squares": "present",
-    "tietze_simplify": "present",
+    "biorder": (),
+    "ghgraph": (),
+    "green": ("DClassData", "dclass_data", "sandwich_set"),
+    "groupid": (
+        "IdentifyHints",
+        "Verdict",
+        "abelianization",
+        "check_label_homomorphism",
+        "identify",
+        "smith_normal_form",
+        "todd_coxeter",
+    ),
+    "present": (
+        "GroupPresentation",
+        "presn_ig",
+        "presn_pg_linked",
+        "presn_pg_squares",
+        "tietze_simplify",
+    ),
 }
 
-__all__ = [
-    "AdjacencySemigroup",
-    "BrauerMonoid",
-    "Partition",
-    "PartitionMonoid",
-    "TransformationMonoid",
-    "TwistedElement",
-    "identity",
-    "involution",
-    "multiply",
-    "multiply_with_floats",
-    "partition_from_blocks",
-    "partition_from_text",
-    "twisted_multiply",
-    *_LAZY,
-]
+# `diagram` and the names bound from it above, then the lazy ones.
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += [*_LAZY, *(name for names in _LAZY.values() for name in names)]
 
 
 def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+    from importlib import import_module
 
-
-def __dir__():
-    return sorted({*globals(), *_LAZY})
+    if name in _LAZY:
+        return import_module(f".{name}", __name__)
+    for module, names in _LAZY.items():
+        if name in names:
+            value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -134,9 +134,6 @@ def cmd_stats(args) -> int:
     print(f"|D| = {d.size}")
     if h.has_star:
         print(f"|P_D| = {len(d.projections)}")
-    else:
-        print(f"R-classes = {len(d.projections)}")
-        print(f"L-classes = {len(d.lreps)}")
     print(f"|E_D| = {len(d.idempotents)}")
     print(f"GH graph: {g.n_left}+{g.n_right} vertices, {len(g.edges)} edges, "
           f"connected: {is_connected(g)}")

@@ -52,12 +52,13 @@ def test_stats_brauer(capsys):
 
 
 @pytest.mark.parametrize("rank,rows,cols", ((1, 1, 3), (2, 3, 3)))
-def test_stats_tn_counts_classes_not_projections(capsys, rank, rows, cols):
-    """T_n has no involution, so stats reports R- and L-classes, not P_D."""
+def test_stats_tn_has_no_projections(capsys, rank, rows, cols):
+    """T_n has no involution, so stats prints no P_D; its R- and L-class
+    counts are the two sides of the GH graph."""
     code, out = run(capsys, "stats", "--monoid", "tn", "--n", "3", "--rank", str(rank))
     assert code == 0
-    assert f"R-classes = {rows}\nL-classes = {cols}\n" in out
     assert "P_D" not in out
+    assert f"GH graph: {rows}+{cols} vertices" in out
 
 
 def test_identify_ig_rank0(capsys):

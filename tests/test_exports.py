@@ -50,37 +50,60 @@ EXPORTS = {
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
-# Run in a fresh interpreter: the modules that a handle adds to sys.modules,
-# and the exports that dir() misses before any lazy name is used.
+# The submodules that `import diagfree` bound as attributes, and so exported
+# to `from diagfree import *`, when all its imports were eager.
+SUBMODULES = ("biorder", "diagram", "ghgraph", "green", "groupid", "present")
+
+# Run in a fresh interpreter: the modules that a handle adds to sys.modules.
 HANDLE_PROBE = """
 import json, sys
 before = set(sys.modules)
 import diagfree
 diagfree.PartitionMonoid(4).elements()
-added = sorted(set(sys.modules) - before)
-print(json.dumps([added, sorted(set(diagfree.__all__) - set(dir(diagfree)))]))
+print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
+# Run in a fresh interpreter: each submodule as a package attribute, with
+# nothing imported by name first, and what a star-import binds.
+SUBMODULE_PROBE = """
+import json
+import diagfree
+mods = [getattr(diagfree, m).__name__ for m in %r]
+star = {}
+exec("from diagfree import *", star)
+print(json.dumps([mods, sorted(k for k in star if not k.startswith("_"))]))
+""" % (SUBMODULES,)
 
-def test_handle_loads_only_diagram():
+
+def _fresh(code):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", HANDLE_PROBE],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    added, undir = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_handle_loads_only_diagram():
+    added = _fresh(HANDLE_PROBE)
     ours = [m for m in added if m == "diagfree" or m.startswith("diagfree.")]
     assert ours == ["diagfree", "diagfree.diagram"]
     assert "dataclasses" not in added
-    assert undir == []
+
+
+def test_submodules_are_package_attributes():
+    mods, star = _fresh(SUBMODULE_PROBE)
+    assert mods == [f"diagfree.{m}" for m in SUBMODULES]
+    assert star == sorted([*SUBMODULES, *(name for _, name in NAMES)])
+    assert diagfree.present.subgroup_presentation  # noqa: B018
 
 
 def test_export_count():
     assert len(NAMES) == 28
-    assert sorted(diagfree.__all__) == sorted(name for _, name in NAMES)
+    assert sorted(diagfree.__all__) == sorted([*SUBMODULES, *(name for _, name in NAMES)])
 
 
 @pytest.mark.parametrize("module,name", NAMES, ids=[name for _, name in NAMES])
