@@ -163,7 +163,7 @@ class _WitnessIndex:
     the pool is grouped by q, and q p = p, i.e. p <= q, is tested once per
     distinct q and projection p, on projection keys.  Since p* = p, p u = p
     holds exactly when u* p = p, so each right identity set comes from the
-    left one through the involution.
+    left one through the involution; star[b] is the bit of pool[b]*.
     """
 
     def __init__(self, d: DClassData):
@@ -182,12 +182,13 @@ class _WitnessIndex:
         triples.sort(key=lambda t: (_nt_of(h, t[0]), h.sort_key(t[0])))
         self.pool = [u for u, _, _ in triples]
         bit = {u: 1 << b for b, u in enumerate(self.pool)}
+        self.star = [bit[s] for _, _, s in triples]
         # q -> [bits of the pool elements u with u u* = q, bits of their u*]
         groups: dict[Any, list[int]] = {}
         for b, (u, q, s) in enumerate(triples):
             g = groups.setdefault(q, [0, 0])
             g[0] |= 1 << b
-            g[1] |= bit[s]
+            g[1] |= self.star[b]
         key, leq = h.projection_key, h.projection_leq
         keyed = [(key(q), lbits, rbits) for q, (lbits, rbits) in groups.items()]
         self.lid: list[int] = []
@@ -224,9 +225,9 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
     by row pair, then column pair, and "horizontal" comes before
     "vertical".
 
-    at[(i, j)] is the idempotent of row i and column j.  Each orientation
-    is decided by one AND of bitsets, through product tables per column and
-    per row:
+    at[(i, j)] is the idempotent of row i and column j, and at[(j, i)] is
+    its star.  Each orientation is decided by one AND of bitsets, through
+    one product table per column, with the row tables read off it:
 
     * L is a right congruence.  Let x lie in row i and column j, and let u
       be a pool element with u x = x (u in lid[i]).  Then x u is
@@ -234,8 +235,10 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
       at[(i, c)], and the column c = c(j, u) is the same for every such x
       in column j.  right[j] maps c to the bits of those u.
     * Dually R is a left congruence: for x u = x (u in rid[j]), u x is
-      outside E_D or equal to at[(r, j)] with r = r(i, u); left[i] maps r
-      to the bits of those u.
+      outside E_D or equal to at[(r, j)] with r = r(i, u).  These rows
+      cost no product: u x = y iff x* u* = y*, so when x = at[(i, j)] and
+      x u = at[(i, c)], r(j, u*) = c, read at x* = at[(j, i)].  left[j]
+      maps c to the bits of those u*.
 
     So for the candidate (i, k; j, l), a u in lid[i] & lid[k] & rid[l]
     satisfies both LR equations e u = f and g u = h exactly when
@@ -243,47 +246,46 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
     r(k, u) = i.  The witness is the lowest set bit, the first in scan
     order.  Of the three identity sets each orientation needs, the AND
     keeps only the two the table does not imply: e u = f gives f u = f, so
-    lid[i] & lid[k] & right[j][l] lies inside rid[l], and dually.  No
-    involution is used here.
+    lid[i] & lid[k] & right[j][l] lies inside rid[l], and dually.
 
-    The tables hold only the bits some candidate asks for, collected per
-    row pair through prefix ORs over the shared columns: one product per
-    (column, bit) and per (row, bit), at the first corner of that column or
-    row that the pool element fixes.
+    The column tables hold only the bits some horizontal AND asks for,
+    collected per row pair through prefix ORs over the shared columns: one
+    product per (column, bit), at the first corner of that column that the
+    pool element fixes.  They serve the vertical ANDs too: friendliness is
+    symmetric, so each candidate's transpose (j, l; i, k) is a candidate,
+    and u is a vertical witness of (i, k; j, l) iff u* is a horizontal
+    witness of the transpose.
     """
     h = d.handle
     widx = _WitnessIndex(d)
-    lid, rid, pool = widx.lid, widx.rid, widx.pool
+    lid, rid, pool, star = widx.lid, widx.rid, widx.pool, widx.star
     at = d.e_of_pair
     place = {e: pair for pair, e in at.items()}
     p = h.product
     grids = _shared_columns(d)
 
     # need_col[j]: lid[i] & lid[k] & rid[l] over the candidates with left
-    # column j, and with j and l swapped; need_row[i] and need_row[k]: the
-    # dual, with rid[j] & rid[l].
+    # column j, and with j and l swapped.
     need_col = [0] * len(d.lreps)
-    need_row = [0] * len(d.projections)
     for i, k, common in grids:
         lik = lid[i] & lid[k]
-        before = pairs = 0
+        before = 0
         for l in common:
             if before:
                 need_col[l] |= lik & before
-                pairs |= rid[l] & before
             before |= rid[l]
         after = 0
         for j in reversed(common):
             if after:
                 need_col[j] |= lik & after
             after |= rid[j]
-        need_row[i] |= lid[k] & pairs
-        need_row[k] |= lid[i] & pairs
 
     right: list[dict[int, int]] = []
+    left: list[dict[int, int]] = [{} for _ in d.projections]
     for j, todo in enumerate(need_col):
         table: dict[int, int] = {}
         right.append(table)
+        row = left[j]
         for i in d.col_rows[j]:
             bits = todo & lid[i]
             todo ^= bits
@@ -291,23 +293,12 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
             while bits:
                 low = bits & -bits
                 bits ^= low
-                y = place.get(p(x, pool[low.bit_length() - 1]))
+                b = low.bit_length() - 1
+                y = place.get(p(x, pool[b]))
                 if y is not None:
-                    table[y[1]] = table.get(y[1], 0) | low
-    left: list[dict[int, int]] = []
-    for i, todo in enumerate(need_row):
-        table = {}
-        left.append(table)
-        for j in d.row_cols[i]:
-            bits = todo & rid[j]
-            todo ^= bits
-            x = at[(i, j)]
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                y = place.get(p(pool[low.bit_length() - 1], x))
-                if y is not None:
-                    table[y[0]] = table.get(y[0], 0) | low
+                    c = y[1]
+                    table[c] = table.get(c, 0) | low
+                    row[c] = row.get(c, 0) | star[b]
 
     entries = []
     for i, k, common in grids:

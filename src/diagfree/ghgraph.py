@@ -9,6 +9,7 @@ either of the full graph or of a stated induced subgraph.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -291,11 +292,14 @@ def t_fd(n: int, r: int) -> TreeSet:
     return TreeSet("T_fd", sorted(edges, key=lambda e: e.labels), scope="induced")
 
 
-def _rank_projections(n: int, r: int) -> list[Partition]:
-    return [p for p in partition_projections(n) if p.rank() == r]
+@functools.cache
+def _rank_projections(n: int, r: int) -> tuple[Partition, ...]:
+    """The rank-r projections of P_n, built once per (n, r): the trees and
+    the P_0 and P_1 lists of one class all read them."""
+    return tuple(p for p in partition_projections(n) if p.rank() == r)
 
 
-def _t_fd_edges(n: int, r: int, projections: list[Partition]) -> set[Partition]:
+def _t_fd_edges(n: int, r: int, projections: Sequence[Partition]) -> set[Partition]:
     """The edges of t_fd, given the rank-r projections."""
     edges = set(t_lex(n, r).edges)
     edges.update(e_p_edge(p) for p in projections if 0 < p.ntu() < n - r)

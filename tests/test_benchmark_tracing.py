@@ -3,8 +3,9 @@
 `benchmarks/spans.py` wraps module attributes by name and `benchmarks/run.py`
 drives the passes; a rename in diagfree breaks `run.py --trace 1` without
 failing any library test.  These tests import both unchanged, check every
-wrapped attribute, and run one traced pass of the P_3 smoke workload in
-process against its pins, writing no files.
+wrapped attribute, and run traced passes in process against their pins,
+writing no files: one of the P_3 smoke workload, and one of each benchmark
+workload to count its products.
 """
 
 import importlib
@@ -48,3 +49,20 @@ def test_traced_smoke_pass_meets_pins():
         for mod, attr, _ in spans.PATCHES
     ]
     assert restored == originals
+
+
+def test_traced_pass_product_counts():
+    """Handle products per traced pass, as `run.py --trace 1` counts them:
+    at most 1,807 on `squares_p4r2`, whose square search reads its row
+    tables off its column products, and 225 on `triangles_p4r0`, one per
+    friendly pair of its D-class."""
+    counts = {}
+    for name in ("squares_p4r2", "triangles_p4r0"):
+        wl = workloads.WORKLOADS[name]
+        tracer = spans.Tracer()
+        with tracer.installed():
+            p = run.run_pass(wl, range(len(wl.requests)), tracer)
+        assert p.check(workloads.PINS[name]) == 0
+        counts[name] = len(tracer.products)
+    assert counts["squares_p4r2"] <= 1807
+    assert counts["triangles_p4r0"] == 225

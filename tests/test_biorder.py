@@ -115,6 +115,50 @@ def test_enumerate_matches_brute_force_d31():
 C4 = AdjacencySemigroup("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
 
 
+def pool_oracle_entries(d):
+    """Independent oracle for the entries, orientation and witness
+    included: every candidate square against every pool element, in pool
+    order, through witness_orientations.  An orientation class is entered
+    as LR (UD) when some element singularises the square that way, as RL
+    (DU) otherwise, with the first such element as its witness."""
+    h = d.handle
+    pool = _WitnessIndex(d).pool
+    entries = {}
+    for i, k, common in _shared_columns(d):
+        for cols in itertools.combinations(common, 2):
+            sq = square_at(d, (i, k), cols)
+            found = [witness_orientations(h, sq, u) for u in pool]
+            for oclass, pair in (("horizontal", ("LR", "RL")), ("vertical", ("UD", "DU"))):
+                for orient in pair:
+                    first = next((u for u, os in zip(pool, found) if orient in os), None)
+                    if first is not None:
+                        entries[((i, k), cols, oclass)] = (orient, first)
+                        break
+    return entries
+
+
+@pytest.mark.parametrize(
+    "h, r, count",
+    [
+        (P3, 0, 48),
+        (P3, 1, 240),
+        *((BrauerMonoid(4), r, 0) for r in BrauerMonoid(4).ranks()),
+        (C4, None, 0),
+    ],
+    ids=["P3r0", "P3r1", "B4r0", "B4r2", "B4r4", "C4"],
+)
+def test_square_entries_match_pool_oracle(h, r, count):
+    """The classes no digest pins: each entry's orientation and witness
+    equal the pool oracle's, and no other candidate is singular."""
+    d = dclass_data(h, r)
+    entries = {
+        (s.rows, s.cols, s.oclass): (s.orientation, s.u)
+        for s in enumerate_singular_squares(d)
+    }
+    assert len(entries) == count
+    assert entries == pool_oracle_entries(d)
+
+
 @pytest.mark.parametrize(
     "h, r",
     [
@@ -185,7 +229,9 @@ def test_witness_tables_depend_on_column_only(h, r, shares):
     """L is a right congruence and R a left one, so for the corners x of
     one column that u fixes on the left, the products x u either all leave
     E_D or all land in one column; dually for rows and u x.  The square
-    search's per-column and per-row product tables rest on this.
+    search's per-column product tables rest on the first half.  It reads
+    its row tables off them through the involution: for x u = x, u x = y
+    iff x* u* = y*, so the row of u x is the column of x* u*.
 
     In the adjacency semigroup u = (a, b) fixes only the corner in row a of
     each column, so no line there has two fixed corners (shares is False)."""
@@ -204,11 +250,13 @@ def test_witness_tables_depend_on_column_only(h, r, shares):
             images = {col.get(h.product(x, u)) for x in fixed}
             assert len(images) <= 1
             shared += len(fixed) > 1 and images != {None}
+        ustar = h.star(u)
         for xs in rows.values():
             fixed = [x for x in xs if h.product(x, u) == x]
-            images = {row.get(h.product(u, x)) for x in fixed}
-            assert len(images) <= 1
-            shared += len(fixed) > 1 and images != {None}
+            images = [row.get(h.product(u, x)) for x in fixed]
+            assert len(set(images)) <= 1
+            assert images == [col.get(h.product(h.star(x), ustar)) for x in fixed]
+            shared += len(fixed) > 1 and set(images) != {None}
     assert bool(shared) == shares
 
 
@@ -247,23 +295,28 @@ def test_square_list_with_witnesses_pinned(monoid, n, r):
 def test_square_search_product_count():
     """The search at (P_4, 2) makes 101 products for the witness index
     (one per ordered pair of projections of ranks 3 and 4; q p = p is
-    tested on class keys) and 1,490 for the per-column and per-row
-    product tables: 1,591 (28,986 without reuse, 5,220 with one memoised
-    product per corner and scanned bit, 3,158 when the pool was grouped
-    by u u* products, 2,994 with products for q p = p)."""
+    tested on class keys) and 745 for the per-column product tables, each
+    x u with x a corner of the class; the row tables are read off those
+    through the involution: 846 (28,986 without reuse, 5,220 with one
+    memoised product per corner and scanned bit, 3,158 when the pool was
+    grouped by u u* products, 2,994 with products for q p = p, 1,591 with
+    a second product table per row, made of products u x)."""
     h = PartitionMonoid(4)
     d = dclass_data(h, 2)
-    calls = 0
+    calls = []
     product = h.product
 
     def counted(x, y):
-        nonlocal calls
-        calls += 1
+        calls.append((x, y))
         return product(x, y)
 
     h.product = counted
     assert len(enumerate_singular_squares(d)) == 1656
-    assert calls <= 1591
+    assert len(calls) <= 846
+    corners = set(d.idempotents)
+    tables = [(x, y) for x, y in calls if x.rank() == 2 or y.rank() == 2]
+    assert len(tables) <= 745
+    assert all(x in corners for x, _ in tables)
 
 
 def test_linked_triangles_make_no_products():

@@ -283,3 +283,33 @@ def test_tree_scope_resolution():
     ntu = [p.ntu() for p in d.projections]
     assert left == {i for i, k in enumerate(ntu) if k == 0}
     assert right == {j for j, k in enumerate(ntu) if k >= 1}
+
+
+def test_rank_projections_built_once_per_class(monkeypatch):
+    """A PG and an IG build at (P_4, 2), with their hints, generate P(P_4)
+    once: T_pg, T_s and the P_0 and P_1 lists read one memoised tuple of
+    rank-2 projections, where each would otherwise make its own."""
+    from diagfree import ghgraph
+    from diagfree.biorder import enumerate_singular_squares
+    from diagfree.groupid import subgroup_hints
+    from diagfree.present import subgroup_presentation
+
+    calls = 0
+    generate = ghgraph.partition_projections
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return generate(n)
+
+    monkeypatch.setattr(ghgraph, "partition_projections", counted)
+    ghgraph._rank_projections.cache_clear()
+    d = dclass_data(P4, 2)
+    squares = enumerate_singular_squares(d)
+    for family in ("pg", "ig"):
+        subgroup_presentation(d, family, squares=squares)
+        subgroup_hints(d, family)
+    assert calls == 1
+    assert ghgraph._rank_projections(4, 2) == tuple(
+        p for p in generate(4) if p.rank() == 2
+    )
