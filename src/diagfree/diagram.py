@@ -261,10 +261,6 @@ def involution(a: Partition) -> Partition:
     return Partition(n, a.labels[n:] + a.labels[:n])
 
 
-def is_idempotent(a: Partition) -> bool:
-    return multiply(a, a) == a
-
-
 # -- equivalences on [n] --------------------------------------------------
 
 
@@ -313,7 +309,7 @@ def idempotent_components(a: Partition):
     Returns a list of (component point set on [n], rank of the restriction)
     exactly when a decomposes as a disjoint union over its KER-classes with
     every component of rank <= 1; returns None otherwise.  The truthiness of
-    the result matches is_idempotent(a).
+    the result matches a a == a.
     """
     n = a.n
     classes = sorted(super_kernel(a), key=sorted)
@@ -591,7 +587,7 @@ class PartitionHandleBase(FiniteStarSemigroup):
         if n > DEGREE_CAP and not allow_large:
             raise DegreeError(
                 f"degree {n} exceeds the default cap {DEGREE_CAP}; "
-                "pass allow_large=True to override"
+                "pass allow_large=True (on the command line, --allow-large) to override"
             )
         self.n = n
 

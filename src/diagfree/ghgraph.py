@@ -10,7 +10,6 @@ either of the full graph or of a stated induced subgraph.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -53,7 +52,9 @@ class GHGraph:
 class TreeSet:
     kind: str
     edges: list  # idempotents, canonical order
-    scope: str = "full"  # "full" or "induced"
+    # None for a tree of the whole graph; for a tree of an induced subgraph,
+    # the NTu values of the projections indexing its rows and its columns
+    scope: tuple[set[int], set[int]] | None = None
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -90,12 +91,12 @@ def is_connected(g: GHGraph) -> bool:
     return total > 0 and len(_forest(g, g.edges)) == total - 1
 
 
-def spanning_tree_bfs(g: GHGraph, root: int = 0) -> TreeSet:
-    """Deterministic BFS spanning tree of the full graph, rooted at left[root]."""
+def spanning_tree_bfs(g: GHGraph) -> TreeSet:
+    """Deterministic BFS spanning tree of the full graph, rooted at left[0]."""
     adj = g.adjacency()
     nl = g.n_left
-    seen = {root}
-    frontier = [root]
+    seen = {0}
+    frontier = [0]
     edges = []
     while frontier:
         nxt = []
@@ -135,33 +136,17 @@ def spanning_tree_with_projections(g: GHGraph) -> TreeSet:
 
 
 def tree_scope(g: GHGraph, t: TreeSet) -> tuple[set[int], set[int]]:
-    """The stated vertex scope of a tree kind, as (left, right) index sets.
-
-    T_lex spans the full-domain rows against the trivial-cokernel columns;
-    T_fd those rows against every column with at least one lower block, and
-    T_fc is its mirror image.  All other kinds claim the full graph.
-    """
-    d = g.dclass
-    if t.scope == "full":
+    """The vertex scope a tree states, as (left, right) index sets: the
+    whole graph, or the rows and columns whose projections have the NTu
+    values in t.scope."""
+    if t.scope is None:
         return set(range(g.n_left)), set(range(g.n_right))
-    nr = d.handle.n - d.rank
-    ntu = [p.ntu() for p in d.projections]
-    if t.kind == "T_lex":
-        return (
-            {i for i, k in enumerate(ntu) if k == 0},
-            {j for j, k in enumerate(ntu) if k == nr},
-        )
-    if t.kind == "T_fd":
-        return (
-            {i for i, k in enumerate(ntu) if k == 0},
-            {j for j, k in enumerate(ntu) if k >= 1},
-        )
-    if t.kind == "T_fc":
-        return (
-            {i for i, k in enumerate(ntu) if k >= 1},
-            {j for j, k in enumerate(ntu) if k == 0},
-        )
-    raise ValueError(f"no stated scope for tree kind {t.kind}")
+    rows, cols = t.scope
+    ntu = [p.ntu() for p in g.dclass.projections]
+    return (
+        {i for i, k in enumerate(ntu) if k in rows},
+        {j for j, k in enumerate(ntu) if k in cols},
+    )
 
 
 def verify_spanning_tree(g: GHGraph, t: TreeSet) -> bool:
@@ -180,28 +165,6 @@ def verify_spanning_tree(g: GHGraph, t: TreeSet) -> bool:
 # -- named trees for the partition monoid -------------------------------------
 
 
-def set_partitions_into(items: Sequence[int], k: int):
-    """Set partitions of items into exactly k blocks, deterministic order."""
-    items = list(items)
-    if k <= 0 or k > len(items):
-        return
-    if len(items) == k:
-        yield [[x] for x in items]
-        return
-    if k == 1:
-        yield [list(items)]
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions_into(rest, k - 1):
-        yield [[first]] + [list(b) for b in part]
-    for part in set_partitions_into(rest, k):
-        for i in range(len(part)):
-            yield [
-                ([first] + list(b)) if i == idx else list(b)
-                for idx, b in enumerate(part)
-            ]
-
-
 def idempotent_transformation(n: int, blocks: Sequence[Sequence[int]], image: Sequence[int]) -> Partition:
     """e_{V,C}: maps each block V_i to its chosen cross-section point c_i."""
     images = [0] * n
@@ -209,10 +172,6 @@ def idempotent_transformation(n: int, blocks: Sequence[Sequence[int]], image: Se
         for x in block:
             images[x - 1] = c
     return transformation_partition(n, images)
-
-
-def _lex_c_of(blocks: list[list[int]]) -> list[int]:
-    return [min(b) for b in blocks]
 
 
 def _lex_v_of(c: Sequence[int], n: int) -> list[list[int]]:
@@ -227,23 +186,31 @@ def _lex_v_of(c: Sequence[int], n: int) -> list[list[int]]:
     return blocks
 
 
+def _tree(
+    kind: str, edges: Iterable[Partition], scope: tuple[set[int], set[int]] | None = None
+) -> TreeSet:
+    """A named tree with its edges in label order."""
+    return TreeSet(kind, sorted(edges, key=lambda e: e.labels), scope)
+
+
 def t_lex(n: int, r: int) -> TreeSet:
     """Spanning tree of the transformation part of the rank-r class.
 
-    For every kernel V the edge onto the lexicographically least
-    cross-section, and for every image set C the edge from the least
+    For every kernel V (of a projection in P_0(n, r)) the edge onto the
+    lexicographically least cross-section, and for every image set C (the
+    domain of a projection in P_{n-r}(n, r)) the edge from the least
     partition it crosses; the base idempotent is listed by both.
     """
     if not (1 <= r <= n - 2):
         raise ValueError("t_lex requires 1 <= r <= n-2")
     edges = set()
-    for v in set_partitions_into(range(1, n + 1), r):
-        blocks = sorted((sorted(b) for b in v), key=lambda b: b[0])
-        edges.add(idempotent_transformation(n, blocks, _lex_c_of(blocks)))
-    for c in itertools.combinations(range(1, n + 1), r):
-        blocks = _lex_v_of(c, n)
-        edges.add(idempotent_transformation(n, blocks, sorted(c)))
-    return TreeSet("T_lex", sorted(edges, key=lambda e: e.labels), scope="induced")
+    for p in _projections_by_stratum(n, r, 0):
+        blocks = sorted(sorted(b) for b in p.ker())
+        edges.add(idempotent_transformation(n, blocks, [b[0] for b in blocks]))
+    for p in _projections_by_stratum(n, r, n - r):
+        c = sorted(p.dom())
+        edges.add(idempotent_transformation(n, _lex_v_of(c, n), c))
+    return _tree("T_lex", edges, ({0}, {n - r}))
 
 
 def _projection_parts(p: Partition) -> tuple[list[list[int]], list[list[int]]]:
@@ -278,7 +245,8 @@ def e_p_edge(p: Partition) -> Partition:
 
 
 def _projections_by_stratum(n: int, r: int, k: int) -> list[Partition]:
-    """P_k(n, r): projections of rank r with exactly k upper blocks."""
+    """P_k(n, r): projections of rank r with exactly k upper non-transversal
+    blocks."""
     return [p for p in _rank_projections(n, r) if p.ntu() == k]
 
 
@@ -288,8 +256,9 @@ def t_fd(n: int, r: int) -> TreeSet:
     columns except the full-codomain ones."""
     if not (1 <= r <= n - 2):
         raise ValueError("t_fd requires 1 <= r <= n-2")
-    edges = _t_fd_edges(n, r, _rank_projections(n, r))
-    return TreeSet("T_fd", sorted(edges, key=lambda e: e.labels), scope="induced")
+    edges = set(t_lex(n, r).edges)
+    edges.update(e_p_edge(p) for p in _rank_projections(n, r) if 0 < p.ntu() < n - r)
+    return _tree("T_fd", edges, ({0}, set(range(1, n - r + 1))))
 
 
 @functools.cache
@@ -299,16 +268,11 @@ def _rank_projections(n: int, r: int) -> tuple[Partition, ...]:
     return tuple(p for p in partition_projections(n) if p.rank() == r)
 
 
-def _t_fd_edges(n: int, r: int, projections: Sequence[Partition]) -> set[Partition]:
-    """The edges of t_fd, given the rank-r projections."""
-    edges = set(t_lex(n, r).edges)
-    edges.update(e_p_edge(p) for p in projections if 0 < p.ntu() < n - r)
-    return edges
-
-
 def t_fc(n: int, r: int) -> TreeSet:
-    edges = [involution(e) for e in t_fd(n, r).edges]
-    return TreeSet("T_fc", sorted(edges, key=lambda e: e.labels), scope="induced")
+    """The mirror image of t_fd: full-codomain columns against all rows
+    except the full-domain ones."""
+    fd = t_fd(n, r)
+    return _tree("T_fc", map(involution, fd.edges), fd.scope[::-1])
 
 
 def t_s(n: int, r: int, s: Partition) -> TreeSet:
@@ -320,36 +284,29 @@ def t_s(n: int, r: int, s: Partition) -> TreeSet:
     if not (s.n == n and s.rank() == r and s.ntu() == 0 and is_projection(s)):
         raise ValueError("s must be a full-domain projection of rank r")
     fd = t_fd(n, r).edges
-    edges = set(fd) | {involution(e) for e in fd} | {s}
-    return TreeSet("T_s", sorted(edges, key=lambda e: e.labels), scope="full")
+    return _tree("T_s", set(fd) | {involution(e) for e in fd} | {s})
 
 
 def t_pg(n: int, r: int) -> TreeSet:
     """t_fd together with every projection of the class; contains P_D."""
     if not (1 <= r <= n - 2):
         raise ValueError("t_pg requires 1 <= r <= n-2")
-    projections = _rank_projections(n, r)
-    edges = _t_fd_edges(n, r, projections)
-    edges.update(projections)
-    return TreeSet("T_pg", sorted(edges, key=lambda e: e.labels), scope="full")
+    return _tree("T_pg", set(t_fd(n, r).edges).union(_rank_projections(n, r)))
 
 
 def t_rank0(n: int) -> TreeSet:
-    """All rank-0 idempotents with a single upper or a single lower block."""
+    """All rank-0 idempotents with a single upper or a single lower block:
+    one of each per set partition of [n], the kernel of a rank-0
+    projection."""
     if n < 2:
         raise ValueError("t_rank0 requires n >= 2")
     edges = set()
-    top = [list(range(1, n + 1))]
-    for k in range(1, n + 1):
-        for part in set_partitions_into(range(1, n + 1), k):
-            lower = [[-x for x in b] for b in part]
-            edges.add(partition_from_blocks(n, [sum(lower, [])] + [list(b) for b in part]))
-            edges.add(
-                partition_from_blocks(
-                    n, [list(range(1, n + 1))] + lower
-                )
-            )
-    return TreeSet("T_rank0", sorted(edges, key=lambda e: e.labels), scope="full")
+    for p in _rank_projections(n, 0):
+        part = list(p.ker())
+        lower = [[-x for x in b] for b in part]
+        edges.add(partition_from_blocks(n, [sum(lower, [])] + part))
+        edges.add(partition_from_blocks(n, [list(range(1, n + 1))] + lower))
+    return _tree("T_rank0", edges)
 
 
 def p0_projections(n: int, r: int) -> list[Partition]:

@@ -132,7 +132,7 @@ def _tree_presentation(
     e = p_i p_j is generator gid[(i, j)].  Relators a_e = 1 on the tree,
     one per singular square, and with `star` a_e a_{e*} = 1 for e <= e*,
     read off the transposed pair: (p_i p_j)* = p_j p_i."""
-    if t.scope != "full":
+    if t.scope is not None:
         raise ValueError(
             f"{t.kind} spans an induced subgraph, not the Graham-Houghton graph"
         )
@@ -260,6 +260,9 @@ def subgroup_presentation(
 
 # -- semigroup presentation documents -------------------------------------------
 
+# The largest handle whose elements `emit_semigroup_presentation` enumerates.
+EMIT_SIZE_CAP = 20000
+
 
 @dataclass(frozen=True)
 class SemigroupPresentationDoc:
@@ -276,9 +279,7 @@ class SemigroupPresentationDoc:
         return "\n".join(lines) + "\n"
 
 
-def emit_semigroup_presentation(
-    h: FiniteStarSemigroup, family: str, size_cap: int = 20000
-) -> SemigroupPresentationDoc:
+def emit_semigroup_presentation(h: FiniteStarSemigroup, family: str) -> SemigroupPresentationDoc:
     """Symbolic defining presentations over the idempotents or projections.
 
     family: "ig" (basic pairs), "rig" (ig plus sandwich relations),
@@ -287,7 +288,7 @@ def emit_semigroup_presentation(
     """
     from .green import sandwich_set
 
-    if h.size() > size_cap:
+    if h.size() > EMIT_SIZE_CAP:
         raise ValueError("handle too large to enumerate for emission")
     E = h.idempotents()
     name_e = {e: f"x[{h.text(e)}]" for e in E}

@@ -217,6 +217,14 @@ def test_bad_rank_is_error(capsys):
     assert code == 2
 
 
+def test_degree_over_the_cap_names_the_cli_flag(capsys):
+    """A degree past the cap is a usage error whose message names the
+    command-line flag that lifts it."""
+    code = main(["identify", "--n", "9", "--rank", "1"])
+    assert code == 2
+    assert "--allow-large" in capsys.readouterr().err
+
+
 def test_identify_ig_31_exact_z(capsys):
     code, out = run(capsys, "identify", "--family", "ig", "--n", "3", "--rank", "1")
     assert code == 0

@@ -1,11 +1,16 @@
 """Graham-Houghton graphs, the named spanning trees, and exports."""
 
+import itertools
+import math
+
 import pytest
 
+from diagfree import ghgraph
 from diagfree.diagram import (
     PartitionMonoid,
     TransformationMonoid,
     partition_from_blocks,
+    transformation_partition,
 )
 from diagfree.green import dclass_data
 from diagfree.ghgraph import (
@@ -18,7 +23,6 @@ from diagfree.ghgraph import (
     is_connected,
     p0_projections,
     p1_projections,
-    set_partitions_into,
     spanning_tree_bfs,
     spanning_tree_with_projections,
     t_fc,
@@ -74,7 +78,7 @@ def test_bfs_depth_on_rank0_class():
     # the rank-0 friendliness is complete, so the BFS tree is a double star
     d = dclass_data(P3, 0)
     g = build_gh_graph(d)
-    t = spanning_tree_bfs(g, root=0)
+    t = spanning_tree_bfs(g)
     depth = {("L", 0): 0}
     place = {e: pair for pair, e in d.e_of_pair.items()}
     edges = [place[e] for e in t.edges]
@@ -259,12 +263,67 @@ def test_friendliness_tree():
     assert 0 not in children
 
 
-def test_set_partitions_into_counts():
-    # Stirling numbers S(4, k)
-    assert len(list(set_partitions_into(range(1, 5), 1))) == 1
-    assert len(list(set_partitions_into(range(1, 5), 2))) == 7
-    assert len(list(set_partitions_into(range(1, 5), 3))) == 6
-    assert len(list(set_partitions_into(range(1, 5), 4))) == 1
+def _stirling2(n, k):
+    if n == k:
+        return 1
+    if n == 0 or k == 0:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def _set_partitions(n):
+    """The set partitions of [n], as the kernels of all maps [n] -> [n]:
+    each a tuple of blocks, each block a sorted tuple, blocks by minimum."""
+    kernels = set()
+    for images in itertools.product(range(n), repeat=n):
+        blocks = {}
+        for x, y in enumerate(images, 1):
+            blocks.setdefault(y, []).append(x)
+        kernels.add(tuple(sorted(tuple(b) for b in blocks.values())))
+    return sorted(kernels)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_projection_strata_counts(n):
+    """|P_0(n, r)| = S(n, r): a projection with no upper non-transversal
+    block is fixed by its kernel.  |P_{n-r}(n, r)| = C(n, r): one with n - r
+    is fixed by its domain.  T_rank0 has an edge with one upper block and
+    one with one lower block per set partition of [n], the one-block
+    partition giving the same edge twice."""
+    for r in range(n + 1):
+        assert len(ghgraph._projections_by_stratum(n, r, 0)) == _stirling2(n, r)
+        assert len(ghgraph._projections_by_stratum(n, r, n - r)) == math.comb(n, r)
+    bell = sum(_stirling2(n, k) for k in range(n + 1))
+    assert len(t_rank0(n)) == 2 * bell - 1
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_lex_and_rank0_trees_match_an_independent_enumeration(n):
+    """T_lex: each kernel with r classes maps every class to its least
+    point, and each r-set C = {c_1 < ... < c_r} is the image of the map
+    sending [1, c_1], (c_1, c_2], ..., (c_{r-1}, n] to c_1, ..., c_r.
+    T_rank0: each set partition of [n] over a single block of the other
+    row, either way up."""
+    partitions = _set_partitions(n)
+    for r in range(1, n - 1):
+        want = set()
+        for blocks in partitions:
+            if len(blocks) == r:
+                images = [0] * n
+                for b in blocks:
+                    for x in b:
+                        images[x - 1] = b[0]
+                want.add(transformation_partition(n, images))
+        for c in itertools.combinations(range(1, n + 1), r):
+            images = [min((ci for ci in c if ci >= x), default=c[-1]) for x in range(1, n + 1)]
+            want.add(transformation_partition(n, images))
+        assert set(t_lex(n, r).edges) == want
+    points = list(range(1, n + 1))
+    want = set()
+    for blocks in partitions:
+        want.add(partition_from_blocks(n, [[-x for x in points], *blocks]))
+        want.add(partition_from_blocks(n, [points, *([-x for x in b] for b in blocks)]))
+    assert set(t_rank0(n).edges) == want
 
 
 def test_dot_export():
@@ -277,12 +336,21 @@ def test_dot_export():
 
 
 def test_tree_scope_resolution():
-    d = dclass_data(P4, 2)
-    g = build_gh_graph(d)
-    left, right = tree_scope(g, t_fd(4, 2))
-    ntu = [p.ntu() for p in d.projections]
-    assert left == {i for i, k in enumerate(ntu) if k == 0}
-    assert right == {j for j, k in enumerate(ntu) if k >= 1}
+    """T_lex spans the full-domain rows against the full-image columns,
+    T_fd those rows against every column with an upper non-transversal
+    block, and T_fc is T_fd's mirror image."""
+    for n, r in ((4, 2), (5, 2)):
+        d = dclass_data(PartitionMonoid(n), r)
+        g = build_gh_graph(d)
+        ntu = [p.ntu() for p in d.projections]
+        full = {i for i, k in enumerate(ntu) if k == 0}
+        some = {i for i, k in enumerate(ntu) if k >= 1}
+        assert tree_scope(g, t_lex(n, r)) == (full, {j for j, k in enumerate(ntu) if k == n - r})
+        assert tree_scope(g, t_fd(n, r)) == (full, some)
+        assert tree_scope(g, t_fc(n, r)) == (some, full)
+        assert t_fc(n, r).scope == t_fd(n, r).scope[::-1]
+        for t in (t_lex(n, r), t_fd(n, r), t_fc(n, r)):
+            assert verify_spanning_tree(g, t)
 
 
 def test_rank_projections_built_once_per_class(monkeypatch):

@@ -569,13 +569,23 @@ def test_emit_pg_e_and_rig():
         emit_semigroup_presentation(P2, "nope")
 
 
+def test_semigroup_presentation_refuses_a_handle_over_the_cap():
+    """The adjacency semigroup of a path on 142 vertices has 142^2 + 1 =
+    20,165 elements, past the emission cap of 20,000."""
+    from diagfree.diagram import AdjacencySemigroup
+
+    vertices = [f"v{i:03d}" for i in range(142)]
+    h = AdjacencySemigroup(vertices, zip(vertices, vertices[1:]))
+    assert h.size() == 20165 > present.EMIT_SIZE_CAP
+    with pytest.raises(ValueError, match="too large to enumerate"):
+        emit_semigroup_presentation(h, "ig")
+
+
 def test_basic_pairs_products_idempotent():
     from diagfree.present import basic_pairs
-    from diagfree.diagram import multiply, is_idempotent
-
     for e, f in basic_pairs(P2):
-        assert is_idempotent(multiply(e, f))
-        assert is_idempotent(multiply(f, e))
+        assert P2.is_idempotent(P2.product(e, f))
+        assert P2.is_idempotent(P2.product(f, e))
 
 
 def test_cas_and_json_emitters():

@@ -19,13 +19,23 @@ PAPER_OBJECTS = (
 )
 
 
+# The package's modules: `ghgraph.build_gh_graph` uses a module-level name,
+# while a method call such as `self.is_idempotent(x)` does not.
+MODULES = {path.stem for path in SRC.glob("*.py")}
+
+
 def _references(node: ast.AST) -> set[str]:
-    """Names that node uses: plain names, attributes and imported names."""
+    """Names that node uses: plain names, imported names, and attributes
+    read off a package module by name."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id in MODULES
+        ):
             out.add(sub.attr)
         elif isinstance(sub, ast.alias):
             out.add(sub.name)
