@@ -4,6 +4,7 @@ labels of idempotents."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -143,10 +144,10 @@ def square_at(d: DClassData, rows: tuple[int, int], cols: tuple[int, int]) -> Sq
     return Square(at[(i, j)], at[(i, l)], at[(k, j)], at[(k, l)])
 
 
-def _pair_triples(P: list, e_of_pair: dict) -> list[tuple]:
-    """(u, u u*, u*) for each friendly pair product u = p_i p_j of P:
-    u u* = p_i and u* = p_j p_i."""
-    return [(u, P[i], e_of_pair[(j, i)]) for (i, j), u in e_of_pair.items()]
+def _pair_triples(K: list, e_of_pair: dict) -> list[tuple]:
+    """(u, key(u u*), u*, key(u* u)) for each friendly pair product
+    u = p_i p_j, with keys K: u u* = p_i, u* = p_j p_i and u* u = p_j."""
+    return [(u, K[i], e_of_pair[(j, i)], K[j]) for (i, j), u in e_of_pair.items()]
 
 
 class _WitnessIndex:
@@ -164,10 +165,13 @@ class _WitnessIndex:
     distinct q and projection p, on projection keys.  Since p* = p, p u = p
     holds exactly when u* p = p, so each right identity set comes from the
     left one through the involution; star[b] is the bit of pool[b]*.
+    ends[b] = (key(u u*), key(u* u)) for u = pool[b]; keys are P_D's keys.
     """
 
     def __init__(self, d: DClassData):
         h = d.handle
+        key, leq = h.projection_key, h.projection_leq
+        self.keys = [key(p) for p in d.projections]
         if d.rank is None:
             classes, triples = [h.projections()], []
         else:
@@ -176,26 +180,25 @@ class _WitnessIndex:
                 if q.rank() > d.rank:
                     by_rank.setdefault(q.rank(), []).append(q)
             classes = by_rank.values()
-            triples = _pair_triples(d.projections, d.e_of_pair)
+            triples = _pair_triples(self.keys, d.e_of_pair)
         for P in classes:
-            triples += _pair_triples(P, friendly_products(h, P))
+            triples += _pair_triples([key(q) for q in P], friendly_products(h, P))
         triples.sort(key=lambda t: (_nt_of(h, t[0]), h.sort_key(t[0])))
-        self.pool = [u for u, _, _ in triples]
+        self.pool = [u for u, _, _, _ in triples]
         bit = {u: 1 << b for b, u in enumerate(self.pool)}
-        self.star = [bit[s] for _, _, s in triples]
-        # q -> [bits of the pool elements u with u u* = q, bits of their u*]
+        self.star = [bit[s] for _, _, s, _ in triples]
+        self.ends = [(q, t) for _, q, _, t in triples]
+        # key(q) -> [bits of the pool elements u with u u* = q, bits of their u*]
         groups: dict[Any, list[int]] = {}
-        for b, (u, q, s) in enumerate(triples):
+        for b, (q, _) in enumerate(self.ends):
             g = groups.setdefault(q, [0, 0])
             g[0] |= 1 << b
             g[1] |= self.star[b]
-        key, leq = h.projection_key, h.projection_leq
-        keyed = [(key(q), lbits, rbits) for q, (lbits, rbits) in groups.items()]
         self.lid: list[int] = []
         self.rid: list[int] = []
-        for p in map(key, d.projections):
+        for p in self.keys:
             lid = rid = 0
-            for q, lbits, rbits in keyed:
+            for q, (lbits, rbits) in groups.items():
                 if leq(p, q):
                     lid |= lbits
                     rid |= rbits
@@ -225,15 +228,15 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
     by row pair, then column pair, and "horizontal" comes before
     "vertical".
 
-    at[(i, j)] is the idempotent of row i and column j, and at[(j, i)] is
-    its star.  Each orientation is decided by one AND of bitsets, through
-    one product table per column, with the row tables read off it:
+    at[(i, j)] = p_i p_j (`d.e_of_pair`) is the idempotent of row i and
+    column j, and at[(j, i)] its star.  Each orientation is decided by one
+    AND of bitsets, through one table per column read off θ_p(s) = p s p:
 
-    * L is a right congruence.  Let x lie in row i and column j, and let u
-      be a pool element with u x = x (u in lid[i]).  Then x u is
-      idempotent and x u <=_R x, so x u is either outside E_D or equal to
-      at[(i, c)], and the column c = c(j, u) is the same for every such x
-      in column j.  right[j] maps c to the bits of those u.
+    * L is a right congruence.  Let x = at[(i, j)] and let u be a pool
+      element with u x = x (u in lid[i]).  Then x u is idempotent and
+      x u <=_R x, so it is at[(i, c)], where p_c = (x u)* x u = u* p_j u =
+      θ_{u* u}(θ_{u u*}(p_j)) as u = (u u*)(u* u), or outside E_D when
+      that leaves P_D.  right[j] maps c = c(j, u) to the bits of those u.
     * Dually R is a left congruence: for x u = x (u in rid[j]), u x is
       outside E_D or equal to at[(r, j)] with r = r(i, u).  These rows
       cost no product: u x = y iff x* u* = y*, so when x = at[(i, j)] and
@@ -249,19 +252,20 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
     lid[i] & lid[k] & right[j][l] lies inside rid[l], and dually.
 
     The column tables hold only the bits some horizontal AND asks for,
-    collected per row pair through prefix ORs over the shared columns: one
-    product per (column, bit), at the first corner of that column that the
-    pool element fixes.  They serve the vertical ANDs too: friendliness is
-    symmetric, so each candidate's transpose (j, l; i, k) is a candidate,
-    and u is a vertical witness of (i, k; j, l) iff u* is a horizontal
-    witness of the transpose.
+    collected per row pair through prefix ORs over the shared columns, so
+    each lies in lid[i] for a row i of its column; conj memoises θ.  They
+    serve the vertical ANDs too: friendliness is symmetric, so each
+    candidate's transpose (j, l; i, k) is a candidate, and u is a vertical
+    witness of (i, k; j, l) iff u* is a horizontal witness of the transpose.
     """
-    h = d.handle
     widx = _WitnessIndex(d)
-    lid, rid, pool, star = widx.lid, widx.rid, widx.pool, widx.star
-    at = d.e_of_pair
-    place = {e: pair for pair, e in at.items()}
-    p = h.product
+    lid, rid, pool, star, ends = widx.lid, widx.rid, widx.pool, widx.star, widx.ends
+    keys, theta = widx.keys, d.handle.theta
+    col = {k: j for j, k in enumerate(keys)}
+    # conj(p, i): the index of θ_p(P[i]) in P_D, None if the rank drops.
+    conj = functools.cache(
+        lambda p, i: None if i is None else col.get(theta(p, keys[i]))
+    )
     grids = _shared_columns(d)
 
     # need_col[j]: lid[i] & lid[k] & rid[l] over the candidates with left
@@ -286,19 +290,15 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
         table: dict[int, int] = {}
         right.append(table)
         row = left[j]
-        for i in d.col_rows[j]:
-            bits = todo & lid[i]
-            todo ^= bits
-            x = at[(i, j)]
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                b = low.bit_length() - 1
-                y = place.get(p(x, pool[b]))
-                if y is not None:
-                    c = y[1]
-                    table[c] = table.get(c, 0) | low
-                    row[c] = row.get(c, 0) | star[b]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            b = low.bit_length() - 1
+            q, s = ends[b]
+            c = conj(s, conj(q, j))
+            if c is not None:
+                table[c] = table.get(c, 0) | low
+                row[c] = row.get(c, 0) | star[b]
 
     entries = []
     for i, k, common in grids:

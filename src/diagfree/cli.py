@@ -215,6 +215,13 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="diagfree",
@@ -223,11 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, rank_required=True):
+    def common(p):
         p.add_argument("--monoid", default="pn",
                        help="pn | brauer | tn | adjacency (default pn)")
         p.add_argument("--n", type=int, default=3)
-        p.add_argument("--rank", type=int, required=rank_required)
+        p.add_argument("--rank", type=int, required=True)
         p.add_argument("--graph", help="edge-list file for adjacency semigroups")
         p.add_argument("--allow-large", action="store_true",
                        help="override the default degree cap")
@@ -251,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="ig", choices=FAMILIES)
     p.add_argument("--tree", default="auto", choices=SPANNING_TREES,
                    help="ig and pg only; auto means pg for pg")
-    p.add_argument("--max-cosets", type=int, default=10**6)
+    p.add_argument("--max-cosets", type=positive_int, default=10**6)
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.set_defaults(func=cmd_identify)
 

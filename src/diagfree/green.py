@@ -78,10 +78,9 @@ class DClassData:
     friendly index pair (i, j), whose H-class is a group, to the unique
     idempotent p_i p_j in it, in canonical order of E_D.  Every other fact
     is read off these on first use: `friendly` (a view of the pairs),
-    `idempotents`, `size`, `strata`, the projection index, and `row_cols`
-    and `col_rows`, the ascending adjacency of the graph's two sides.  The
-    zero D-class of an adjacency semigroup is excluded: only the unique
-    non-zero class is built.
+    `idempotents`, `size`, `strata`, the projection index, and `row_cols`,
+    the ascending columns of each row.  The zero D-class of an adjacency
+    semigroup is excluded: only the unique non-zero class is built.
 
     `size` is |D| = |rows| |cols| |H|, read off the indices: the R- and
     L-classes of D index its H-classes, which all have the order of a group
@@ -130,14 +129,6 @@ class DClassData:
         out: list[list[int]] = [[] for _ in self.projections]
         for i, j in sorted(self.e_of_pair):
             out[i].append(j)
-        return out
-
-    @cached_property
-    def col_rows(self) -> list[list[int]]:
-        """col_rows[j]: the rows i of the idempotents in column j, ascending."""
-        out: list[list[int]] = [[] for _ in self.lreps]
-        for i, j in sorted(self.e_of_pair):
-            out[j].append(i)
         return out
 
     @cached_property

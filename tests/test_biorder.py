@@ -229,9 +229,12 @@ def test_witness_tables_depend_on_column_only(h, r, shares):
     """L is a right congruence and R a left one, so for the corners x of
     one column that u fixes on the left, the products x u either all leave
     E_D or all land in one column; dually for rows and u x.  The square
-    search's per-column product tables rest on the first half.  It reads
-    its row tables off them through the involution: for x u = x, u x = y
-    iff x* u* = y*, so the row of u x is the column of x* u*.
+    search's per-column tables rest on the first half, and read that
+    column off the projection algebra: it is the column of the L-class
+    projection u* q_j u = θ_{u*u}(θ_{uu*}(q_j)) of x u, which leaves P_D
+    exactly when x u leaves E_D.  The search reads its row tables off the
+    column tables through the involution: for x u = x, u x = y iff
+    x* u* = y*, so the row of u x is the column of x* u*.
 
     In the adjacency semigroup u = (a, b) fixes only the corner in row a of
     each column, so no line there has two fixed corners (shares is False)."""
@@ -243,14 +246,21 @@ def test_witness_tables_depend_on_column_only(h, r, shares):
     for (i, j), x in sorted(d.e_of_pair.items()):
         rows.setdefault(i, []).append(x)
         cols.setdefault(j, []).append(x)
+    widx = _WitnessIndex(d)
+    key, theta = h.projection_key, h.theta
+    pindex = {key(q): j for j, q in enumerate(d.projections)}
     shared = 0  # (line, u) with two or more fixed corners and images in E_D
-    for u in _WitnessIndex(d).pool:
-        for xs in cols.values():
+    for u in widx.pool:
+        ustar = h.star(u)
+        uu, su = key(h.product(u, ustar)), key(h.product(ustar, u))
+        for j, xs in cols.items():
             fixed = [x for x in xs if h.product(u, x) == x]
             images = {col.get(h.product(x, u)) for x in fixed}
             assert len(images) <= 1
             shared += len(fixed) > 1 and images != {None}
-        ustar = h.star(u)
+            if fixed:
+                qj = key(d.projections[j])
+                assert images == {pindex.get(theta(su, theta(uu, qj)))}
         for xs in rows.values():
             fixed = [x for x in xs if h.product(x, u) == x]
             images = [row.get(h.product(u, x)) for x in fixed]
@@ -293,14 +303,15 @@ def test_square_list_with_witnesses_pinned(monoid, n, r):
 
 
 def test_square_search_product_count():
-    """The search at (P_4, 2) makes 101 products for the witness index
+    """The search at (P_4, 2) makes 101 products, all for the witness pool
     (one per ordered pair of projections of ranks 3 and 4; q p = p is
-    tested on class keys) and 745 for the per-column product tables, each
-    x u with x a corner of the class; the row tables are read off those
-    through the involution: 846 (28,986 without reuse, 5,220 with one
-    memoised product per corner and scanned bit, 3,158 when the pool was
-    grouped by u u* products, 2,994 with products for q p = p, 1,591 with
-    a second product table per row, made of products u x)."""
+    tested on class keys).  Its tables are read off θ on class keys, so no
+    product has a factor of rank 2 (745 when each table entry was a
+    product x u with x a corner of the class; 846 in all then, 28,986
+    without reuse, 5,220 with one memoised product per corner and scanned
+    bit, 3,158 when the pool was grouped by u u* products, 2,994 with
+    products for q p = p, 1,591 with a second product table per row, made
+    of products u x)."""
     h = PartitionMonoid(4)
     d = dclass_data(h, 2)
     calls = []
@@ -312,11 +323,8 @@ def test_square_search_product_count():
 
     h.product = counted
     assert len(enumerate_singular_squares(d)) == 1656
-    assert len(calls) <= 846
-    corners = set(d.idempotents)
-    tables = [(x, y) for x, y in calls if x.rank() == 2 or y.rank() == 2]
-    assert len(tables) <= 745
-    assert all(x in corners for x, _ in tables)
+    assert len(calls) <= 101
+    assert all(x.rank() > 2 and y.rank() > 2 for x, y in calls)
 
 
 def test_linked_triangles_make_no_products():

@@ -81,6 +81,17 @@ def test_identify_pg_42_certified(capsys):
     assert "S_2 (order 2, certified)" in out
 
 
+def test_identify_max_cosets_one(capsys):
+    """The smallest accepted cap runs, and its verdict is unknown."""
+    code, out = run(
+        capsys, "identify", "--family", "pg", "--n", "4", "--rank", "2",
+        "--max-cosets", "1",
+    )
+    assert code == 0
+    assert out.startswith("unknown")
+    assert "coset enumeration exceeded 1 cosets" in out
+
+
 def test_identify_json_format(capsys):
     code, out = run(
         capsys, "identify", "--family", "pg-linked", "--n", "2", "--rank", "0",
@@ -276,6 +287,7 @@ def test_brauer_gets_no_partition_hints(capsys):
         for kind in ("bfs", "pg")
     ),
     ["stats", "--monoid", "adjacency", "--graph", "MISSING", "--rank", "0"],
+    ["identify", "--n", "4", "--rank", "2", "--family", "pg", "--max-cosets", "0"],
     *(["identify", *BRAUER_42, "--family", "ig", "--tree", kind] for kind in ("s", "rank0")),
     *(["graph", *BRAUER_42, "--tree", kind] for kind in DEGREE_TREES),
 ), ids=(
@@ -292,7 +304,7 @@ def test_brauer_gets_no_partition_hints(capsys):
         for family in PAIR_FAMILIES
         for kind in ("bfs", "pg")
     ),
-    "missing-graph-file",
+    "missing-graph-file", "max-cosets-below-1",
     *(f"brauer-identify-tree-{kind}" for kind in ("s", "rank0")),
     *(f"brauer-graph-tree-{kind}" for kind in DEGREE_TREES),
 ))
@@ -308,6 +320,8 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     assert "error:" in err
     if "tn" in argv:
         assert "needs an involution" in err
+    if "--max-cosets" in argv:
+        assert "--max-cosets" in err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
