@@ -117,7 +117,10 @@ def squares_to_doc(d: DClassData, squares: list[SquareEntry]) -> dict:
 def write_output(args, out: str) -> None:
     """Write out to the -o file, or to stdout."""
     if args.output:
-        Path(args.output).write_text(out)
+        try:
+            Path(args.output).write_text(out)
+        except OSError as exc:
+            raise SystemExit2(f"cannot write -o file: {exc}")
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(out)

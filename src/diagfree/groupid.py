@@ -118,27 +118,30 @@ class CosetTable:
         return self.order is not None
 
 
+class _Overflow(Exception):
+    """Raised inside `todd_coxeter` by the definition that passes its bound."""
+
+
 def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
-    """HLT-style enumeration of the cosets of the trivial subgroup.
+    """HLT enumeration of the cosets of the trivial subgroup: scan each live
+    coset's relators in turn, defining a coset wherever a scan stops short
+    of closing, then fill the coset's empty entries.  Every relator a scan
+    closes and every clash an entry meets queues a coincidence, and the
+    queue is merged, each pair into its smaller coset, before the next scan.
+    Deterministic.
 
-    Relator scanning with immediate deductions and ordered coset
-    definition; deterministic.  If the table would exceed max_cosets the
-    enumeration stops incomplete, with no order (not a failure).
+    Bound contract: the table holds at most max_cosets cosets (and always
+    coset 0).  The definition that would pass the bound stops the
+    enumeration incomplete, not failed: order None and cosets_defined
+    max_cosets + 1 (2 when max_cosets is 0).
     """
-    ngens = len(p.generators)
-    if ngens == 0:
+    nl = 2 * len(p.generators)
+    if not nl:
         return CosetTable(1, 1)
-    nl = 2 * ngens
-    rels = []
-    for w in p.relators:
-        rels.append(
-            tuple((2 * (abs(x) - 1)) + (0 if x > 0 else 1) for x in w)
-        )
-    rels = [r for r in rels if r]
-
+    rels = [tuple(2 * (abs(x) - 1) + (x < 0) for x in w) for w in p.relators if w]
     table: list[list[int | None]] = [[None] * nl]
     rep = [0]
-    defined = 1
+    queue: list[tuple[int, int]] = []
 
     def find(c: int) -> int:
         while rep[c] != c:
@@ -146,119 +149,69 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
             c = rep[c]
         return c
 
-    pending: list[tuple[int, int]] = []
-
-    def set_entry(c: int, l: int, d: int) -> None:
+    def link(c: int, l: int, d: int) -> None:
+        """c·l = d and d·l⁻¹ = c, queueing the entries they overwrite."""
         c, d = find(c), find(d)
-        ec = table[c][l]
-        if ec is not None and find(ec) != d:
-            pending.append((find(ec), d))
+        if (old := table[c][l]) is not None and find(old) != d:
+            queue.append((find(old), d))
         table[c][l] = d
-        ed = table[d][l ^ 1]
-        if ed is not None and find(ed) != c:
-            pending.append((find(ed), c))
+        if (old := table[d][l ^ 1]) is not None and find(old) != c:
+            queue.append((find(old), c))
         table[d][l ^ 1] = c
 
-    def coincide(a: int, b: int) -> None:
-        pending.append((a, b))
-        while pending:
-            x, y = pending.pop()
+    def settle() -> None:
+        """Merge each queued coincidence into the smaller of its cosets."""
+        while queue:
+            x, y = queue.pop()
             x, y = find(x), find(y)
-            if x == y:
-                continue
-            if y < x:
-                x, y = y, x
-            rep[y] = x
-            for l in range(nl):
-                ty = table[y][l]
-                if ty is None:
-                    continue
-                ty = find(ty)
-                tx = table[x][l]
-                if tx is None:
-                    table[x][l] = ty
-                    if table[ty][l ^ 1] is None:
-                        table[ty][l ^ 1] = x
-                    else:
-                        pending.append((find(table[ty][l ^ 1]), x))
-                else:
-                    pending.append((find(tx), ty))
+            if x != y:
+                x, y = min(x, y), max(x, y)
+                rep[y] = x
+                for l, ty in enumerate(table[y]):
+                    if ty is not None:
+                        link(x, l, ty)
 
-    def drain() -> None:
-        if pending:
-            coincide(*pending.pop())
-
-    def new_coset() -> int:
+    def define(c: int, l: int) -> int:
+        """A new coset d = c·l: the one place a coset is created."""
+        d = len(table)
         table.append([None] * nl)
-        rep.append(len(rep))
-        return len(rep) - 1
+        rep.append(d)
+        if d >= max_cosets:
+            raise _Overflow
+        link(c, l, d)
+        return d
 
-    def scan_and_fill(c: int, r: tuple[int, ...]) -> None:
-        nonlocal defined
-        f, i = c, 0
-        b, j = c, len(r) - 1
+    def scan(c: int, r: tuple[int, ...]) -> None:
+        """Scan r from c both ways, defining cosets until it closes."""
+        f, i, b, j = c, 0, c, len(r) - 1
         while True:
-            # forward as far as defined
-            while i <= j:
-                nxt = table[find(f)][r[i]]
-                if nxt is None:
-                    break
-                f = find(nxt)
-                i += 1
+            while i <= j and (nxt := table[find(f)][r[i]]) is not None:
+                f, i = nxt, i + 1
+            while i <= j and (prv := table[find(b)][r[j] ^ 1]) is not None:
+                b, j = prv, j - 1
             if i > j:
-                if find(f) != find(b):
-                    coincide(f, b)
-                return
-            # backward as far as defined
-            while j >= i:
-                prv = table[find(b)][r[j] ^ 1]
-                if prv is None:
-                    break
-                b = find(prv)
-                j -= 1
-            if j < i:
-                if find(f) != find(b):
-                    coincide(f, b)
-                return
+                queue.append((f, b))
+                return settle()
             if i == j:
-                set_entry(find(f), r[i], find(b))
-                drain()
-                return
-            d = new_coset()
-            defined += 1
-            set_entry(find(f), r[i], d)
-            drain()
-            f = find(d)
-            i += 1
-            if defined > max_cosets:
-                raise _Exceeded
-
-    class _Exceeded(Exception):
-        pass
+                link(f, r[i], b)
+                return settle()
+            f, i = define(f, r[i]), i + 1
 
     try:
         c = 0
         while c < len(table):
-            if find(c) != c:
-                c += 1
-                continue
             for r in rels:
                 if find(c) != c:
                     break
-                scan_and_fill(c, r)
+                scan(c, r)
             if find(c) == c:
                 for l in range(nl):
                     if table[c][l] is None:
-                        d = new_coset()
-                        defined += 1
-                        set_entry(c, l, d)
-                        if defined > max_cosets:
-                            raise _Exceeded
+                        define(c, l)
             c += 1
-    except _Exceeded:
-        return CosetTable(None, defined)
-    live = sum(1 for c in range(len(rep)) if find(c) == c)
-    return CosetTable(live, defined)
+    except _Overflow:
+        return CosetTable(None, len(table))
+    return CosetTable(sum(find(c) == c for c in range(len(table))), len(table))
 
 
 # -- label homomorphism -----------------------------------------------------------

@@ -174,7 +174,9 @@ def _pair_presentation(
 ) -> GroupPresentation:
     """Presentation on generators a_{p,q} for the friendly pairs: tree edges
     and diagonal generators trivial, a_{p,q} inverse to a_{q,p}, and one
-    relator per quotient word, a sequence of (pair, +1 or -1) letters."""
+    relator per quotient word, a sequence of (pair, +1 or -1) letters.
+    f_tree must be a spanning tree of P_D: |P_D| - 1 friendly pairs that,
+    read as undirected edges, connect every projection."""
     text = [d.handle.text(p) for p in d.projections]
     pairs = sorted(d.friendly)
     gens = tuple(f"a[{text[i]} | {text[j]}]" for (i, j) in pairs)
@@ -182,6 +184,12 @@ def _pair_presentation(
     tree_pairs = set(f_tree)
     if tree_pairs - gid.keys():
         raise ValueError("tree edge outside the friendliness relation")
+    comp = list(range(len(text)))
+    for i, j in f_tree:
+        a, b = comp[i], comp[j]
+        comp = [a if c == b else c for c in comp]
+    if len(f_tree) != len(text) - 1 or len(set(comp)) != 1:
+        raise ValueError("tree does not span the projections of the D-class")
     relators: list[Word] = [(gid[pair],) for pair in sorted(tree_pairs)]
     relators.extend((gid[(i, i)],) for i in range(len(text)))
     for (i, j) in pairs:

@@ -56,8 +56,10 @@ def test_traced_pass_product_counts():
     at most 1,062 on `squares_p4r2` (961 friendly-pair products for its
     D-class and 101 for the witness pool; the square search reads its
     tables off θ on class keys), and 225 on `triangles_p4r0`, one per
-    friendly pair of its D-class."""
-    counts = {}
+    friendly pair of its D-class.  Coset enumeration per pass, read off the
+    same spans and counter: two `groupid.todd_coxeter` calls defining 4
+    cosets in all on `squares_p4r2`, none on `triangles_p4r0`."""
+    counts, enumerations = {}, {}
     for name in ("squares_p4r2", "triangles_p4r0"):
         wl = workloads.WORKLOADS[name]
         tracer = spans.Tracer()
@@ -65,5 +67,10 @@ def test_traced_pass_product_counts():
             p = run.run_pass(wl, range(len(wl.requests)), tracer)
         assert p.check(workloads.PINS[name]) == 0
         counts[name] = len(tracer.products)
+        enumerations[name] = (
+            sum(s[0] == "groupid.todd_coxeter" for s in tracer.spans),
+            tracer.counts["groupid.cosets_defined"],
+        )
     assert counts["squares_p4r2"] <= 1062
     assert counts["triangles_p4r0"] == 225
+    assert enumerations == {"squares_p4r2": (2, 4), "triangles_p4r0": (0, 0)}

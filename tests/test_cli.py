@@ -287,6 +287,7 @@ def test_brauer_gets_no_partition_hints(capsys):
         for kind in ("bfs", "pg")
     ),
     ["stats", "--monoid", "adjacency", "--graph", "MISSING", "--rank", "0"],
+    ["presentation", "--n", "3", "--rank", "1", "-o", "UNWRITABLE"],
     ["identify", "--n", "4", "--rank", "2", "--family", "pg", "--max-cosets", "0"],
     *(["identify", *BRAUER_42, "--family", "ig", "--tree", kind] for kind in ("s", "rank0")),
     *(["graph", *BRAUER_42, "--tree", kind] for kind in DEGREE_TREES),
@@ -304,13 +305,13 @@ def test_brauer_gets_no_partition_hints(capsys):
         for family in PAIR_FAMILIES
         for kind in ("bfs", "pg")
     ),
-    "missing-graph-file", "max-cosets-below-1",
+    "missing-graph-file", "unwritable-output", "max-cosets-below-1",
     *(f"brauer-identify-tree-{kind}" for kind in ("s", "rank0")),
     *(f"brauer-graph-tree-{kind}" for kind in DEGREE_TREES),
 ))
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
-    missing = str(tmp_path / "missing.edges")
-    argv = [c4_graph(tmp_path) if a == "C4" else missing if a == "MISSING" else a for a in argv]
+    paths = {"MISSING": tmp_path / "missing.edges", "UNWRITABLE": tmp_path / "missing" / "x"}
+    argv = [c4_graph(tmp_path) if a == "C4" else str(paths.get(a, a)) for a in argv]
     try:
         code = main(argv)
     except SystemExit as err:
@@ -322,6 +323,8 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
         assert "needs an involution" in err
     if "--max-cosets" in argv:
         assert "--max-cosets" in err
+    if "-o" in argv:
+        assert "cannot write -o file" in err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -95,6 +95,61 @@ def test_todd_coxeter_incomplete_is_not_failure():
     assert not ct.complete and ct.order is None
 
 
+def _coxeter(m):
+    """The Coxeter presentation with order matrix m, one generator a row."""
+    n = len(m)
+    rels = [(g + 1, g + 1) for g in range(n)]
+    rels += [(a + 1, b + 1) * m[a][b] for a in range(n) for b in range(a + 1, n)]
+    return GroupPresentation(tuple(f"s{g}" for g in range(1, n + 1)), tuple(rels))
+
+
+def _ig_quotient_p42():
+    """The simplified quotient the Z x S_2 route enumerates at (P_4, 2)."""
+    from diagfree import verify
+    from diagfree.present import tietze_simplify
+
+    d = verify.dclass("pn", 4, 2)
+    pres = subgroup_presentation(d, "ig", squares=verify.squares("pn", 4, 2))
+    simp = tietze_simplify(pres)
+    quot = subgroup_hints(d, "ig").quotient_generators
+    return tietze_simplify(simp.quotient((pres.gen_index(x) + 1,) for x in quot)).presentation
+
+
+# (name, presentation, group order, cosets defined by a complete enumeration);
+# None for an infinite group, which no bound completes.  The counts follow
+# the scan and definition order, so any change to that order moves them.
+PINNED_ENUMERATIONS = [
+    *((f"C_{n}", GroupPresentation(("a",), ((1,) * n,)), n, n) for n in range(1, 9)),
+    *(
+        (f"I_2({m})", _coxeter([[1, m], [m, 1]]), 2 * m, cosets)
+        for m, cosets in zip(range(1, 7), (3, 4, 8, 12, 16, 20))
+    ),
+    ("S_4", _coxeter([[1, 3, 2], [3, 1, 3], [2, 3, 1]]), 24, 36),
+    ("A_5", GroupPresentation(("a", "b"), ((1, 1), (2, 2, 2), (1, 2) * 5)), 60, 82),
+    ("H_3", _coxeter([[1, 5, 2], [5, 1, 3], [2, 3, 1]]), 120, 201),
+    (
+        "PSL(2,7)",
+        GroupPresentation(("a", "b"), ((1, 1), (2, 2, 2), (1, 2) * 7, (1, -2, 1, 2) * 4)),
+        168,
+        470,
+    ),
+    ("F_2", GroupPresentation(("a", "b"), ()), None, None),
+]
+
+
+@pytest.mark.parametrize("bound", (0, 1, 3, 17, 200, 5000))
+def test_todd_coxeter_counts_pinned(bound):
+    """(order, cosets_defined) at each bound: complete when the enumeration
+    needs at most max(bound, 1) cosets (coset 0 is always there), otherwise
+    stopped by the definition that passes the bound."""
+    room = max(bound, 1)
+    corpus = PINNED_ENUMERATIONS + [("P_4 r2 ig quotient", _ig_quotient_p42(), 2, 2)]
+    for name, p, order, cosets in corpus:
+        want = (order, cosets) if cosets is not None and cosets <= room else (None, room + 1)
+        ct = todd_coxeter(p, bound)
+        assert (ct.order, ct.cosets_defined) == want, name
+
+
 def test_todd_coxeter_invariance_under_shuffles():
     rng = random.Random(3)
     base = list(S3.relators)

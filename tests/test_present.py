@@ -140,6 +140,20 @@ def test_pair_presentations_reject_non_friendly_tree_edge(build):
         build(d, [], [(0, 99)])
 
 
+@pytest.mark.parametrize("build", (presn_pg_linked, presn_pg_triangles))
+def test_pair_presentations_reject_non_spanning_tree(build):
+    """The pairs must be |P_D| - 1 undirected edges connecting P_D: an
+    empty tree, one edge, a tree short an edge, one edge too many, and the
+    right count with an edge repeated backwards are all refused."""
+    d = dclass_data(P3, 0)
+    tree = friendliness_tree(d, 0)
+    back = tree[0][::-1]
+    for bad in ([], tree[:1], tree[:-1], tree + [back], tree[:-1] + [back]):
+        with pytest.raises(ValueError, match="does not span"):
+            build(d, [], bad)
+    assert build(d, [], tree[::-1]).relators
+
+
 def test_pg_linked_vs_triangles_same_group():
     from diagfree.groupid import identify
 
