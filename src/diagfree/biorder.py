@@ -251,12 +251,14 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
     keeps only the two the table does not imply: e u = f gives f u = f, so
     lid[i] & lid[k] & right[j][l] lies inside rid[l], and dually.
 
-    The column tables hold only the bits some horizontal AND asks for,
-    collected per row pair through prefix ORs over the shared columns, so
-    each lies in lid[i] for a row i of its column; conj memoises θ.  They
-    serve the vertical ANDs too: friendliness is symmetric, so each
-    candidate's transpose (j, l; i, k) is a candidate, and u is a vertical
-    witness of (i, k; j, l) iff u* is a horizontal witness of the transpose.
+    Column j's table holds the bits of need_col[j], the OR of
+    lid[i] & lid[k] over the row pairs (i, k) sharing column j; conj
+    memoises θ.  No rid enters it: the table is read only at a shared
+    column l != j, and c(j, u) = l puts u in rid[l] already, since then
+    at[(i, l)] u = x u u = at[(i, l)].  The tables serve the vertical ANDs
+    too: friendliness is symmetric, so each candidate's transpose
+    (j, l; i, k) is a candidate, and u is a vertical witness of
+    (i, k; j, l) iff u* is a horizontal witness of the transpose.
     """
     widx = _WitnessIndex(d)
     lid, rid, pool, star, ends = widx.lid, widx.rid, widx.pool, widx.star, widx.ends
@@ -268,21 +270,11 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
     )
     grids = _shared_columns(d)
 
-    # need_col[j]: lid[i] & lid[k] & rid[l] over the candidates with left
-    # column j, and with j and l swapped.
     need_col = [0] * len(d.lreps)
     for i, k, common in grids:
         lik = lid[i] & lid[k]
-        before = 0
-        for l in common:
-            if before:
-                need_col[l] |= lik & before
-            before |= rid[l]
-        after = 0
-        for j in reversed(common):
-            if after:
-                need_col[j] |= lik & after
-            after |= rid[j]
+        for j in common:
+            need_col[j] |= lik
 
     right: list[dict[int, int]] = []
     left: list[dict[int, int]] = [{} for _ in d.projections]
@@ -350,19 +342,21 @@ def _conjugations(d: DClassData):
 def enumerate_linked_diamonds(d: DClassData) -> list[LinkedDiamond]:
     """All linked diamonds (s,u;v,w) over P_D, one witness kept per diamond
     (the earliest conjugating projection in canonical order), deduplicated
-    under (s,u;v,w) ~ (u,s;w,v)."""
+    under (s,u;v,w) ~ (u,s;w,v).
+
+    With v = θ_p(s) and w = θ_p(u) in P_D, one test decides all four
+    friendly pairs, as p q p = p alone makes p, q in P_D friendly.  For
+    a = s p, a a* = s p s <= s is D-related to a* a = v, so s p s = s
+    and (s, v) is friendly; so is (u, w).  For a = s p u, a a* = s w s <= s
+    and a* a = u v u <= u are D-related, so (s, w) is friendly iff (u, v)
+    is."""
     P = d.projections
     fr = d.friendly
     found: dict[tuple, LinkedDiamond] = {}
     for p, items in _conjugations(d):
         for si, vi in items:
             for ui, wi in items:
-                if (
-                    (si, vi) in fr
-                    and (si, wi) in fr
-                    and (ui, vi) in fr
-                    and (ui, wi) in fr
-                ):
+                if (si, wi) in fr:
                     key = min((si, ui, vi, wi), (ui, si, wi, vi))
                     if key not in found:
                         found[key] = LinkedDiamond(P[si], P[ui], P[vi], P[wi], p)
@@ -370,7 +364,9 @@ def enumerate_linked_diamonds(d: DClassData) -> list[LinkedDiamond]:
 
 
 def linked_triangles(d: DClassData) -> list[tuple]:
-    """p-linked triangles (s,u,w): psp=s, pup=w, with (s,w),(u,s),(u,w) friendly."""
+    """p-linked triangles (s,u,w): psp=s, pup=w, with (s,w),(u,s),(u,w)
+    friendly.  They are the linked diamonds with v = s, so one test
+    decides all three (see `enumerate_linked_diamonds`)."""
     P = d.projections
     fr = d.friendly
     found: dict[tuple, Any] = {}
@@ -379,7 +375,7 @@ def linked_triangles(d: DClassData) -> list[tuple]:
             if vi != si:
                 continue
             for ui, wi in items:
-                if (si, wi) in fr and (ui, si) in fr and (ui, wi) in fr:
+                if (si, wi) in fr:
                     key = (si, ui, wi)
                     if key not in found:
                         found[key] = (P[si], P[ui], P[wi], p)

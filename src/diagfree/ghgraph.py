@@ -331,7 +331,7 @@ def named_tree(d: DClassData, kind: str = "auto") -> TreeSet:
     and the projection tree for a class without a rank.  T_s, T_pg,
     T_rank0, lex, fd and fc are built only for P_n: on another handle with
     a rank, auto is bfs, pg the projection tree, and the others are
-    refused."""
+    refused; so are s and rank0 at ranks they do not span."""
     n, r = getattr(d.handle, "n", None), d.rank
     pn = isinstance(d.handle, PartitionMonoid)
     if kind == "auto":
@@ -358,6 +358,8 @@ def named_tree(d: DClassData, kind: str = "auto") -> TreeSet:
             raise ValueError("t_s requires 1 <= r <= n-2")
         return t_s(n, r, p0_projections(n, r)[0])
     if kind == "rank0":
+        if r != 0:
+            raise ValueError("t_rank0 requires rank 0")
         return t_rank0(n)
     induced = {"lex": t_lex, "fd": t_fd, "fc": t_fc}
     if kind in induced:

@@ -12,6 +12,7 @@ import pytest
 
 from diagfree.biorder import (
     HORIZONTAL,
+    LinkedDiamond,
     Square,
     SquareEntry,
     _shared_columns,
@@ -338,6 +339,97 @@ def test_linked_triangles_make_no_products():
 
     h.product = refused
     assert len(linked_triangles(d)) == 992
+
+
+@pytest.mark.parametrize(
+    "monoid, n, r, count",
+    [(PartitionMonoid, 4, 2, 241), (PartitionMonoid, 4, 1, 1366), (BrauerMonoid, 5, 1, 165)],
+    ids=["P4r2", "P4r1", "B5r1"],
+)
+def test_square_search_theta_count(monkeypatch, monoid, n, r, count):
+    """The θ evaluations of the square search, one per distinct (p, s)
+    that its column tables ask for.  A table is filled for each bit of its
+    column's need set, so a need rule that asked for more bits than the
+    ANDs can use would show here as more evaluations."""
+    h = monoid(n)
+    d = dclass_data(h, r)
+    calls = []
+    theta = h.theta
+
+    def counted(p, s):
+        calls.append((p, s))
+        return theta(p, s)
+
+    monkeypatch.setattr(h, "theta", counted)
+    enumerate_singular_squares(d)
+    assert len(calls) == count
+
+
+PATH = AdjacencySemigroup("abc", [("a", "b"), ("b", "c")])
+K3 = AdjacencySemigroup("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+LINKED_FACT_CLASSES = {
+    **{f"P{n}r{r}": (PartitionMonoid(n), r) for n in (1, 2, 3, 4) for r in range(n + 1)},
+    **{
+        f"B{n}r{r}": (BrauerMonoid(n), r)
+        for n in (2, 3, 4, 5)
+        for r in BrauerMonoid(n).ranks()
+    },
+    "path": (PATH, None),
+    "C4": (C4, None),
+    "K3": (K3, None),
+}
+
+
+@pytest.mark.parametrize("h, r", LINKED_FACT_CLASSES.values(), ids=LINKED_FACT_CLASSES)
+def test_linked_scans_need_one_friendliness_test(h, r):
+    """The facts that let the diamond and triangle scans make one
+    friendliness test, with θ_p(s) = p s p by products: for every
+    projection p and s, u in P_D whose images v = θ_p(s) and w = θ_p(u) lie
+    in P_D, (s, v) is friendly, and (s, w) is friendly iff (u, v) is."""
+    d = dclass_data(h, r)
+    fr = d.friendly
+    index = {q: i for i, q in enumerate(d.projections)}
+    pairs = 0
+    for p in h.projections():
+        images = {}
+        for i, s in enumerate(d.projections):
+            j = index.get(h.product(h.product(p, s), p))
+            if j is not None:
+                images[i] = j
+        for si, vi in images.items():
+            assert (si, vi) in fr
+            for ui, wi in images.items():
+                assert ((si, wi) in fr) == ((ui, vi) in fr)
+            pairs += len(images)
+    assert pairs
+
+
+@pytest.mark.parametrize(
+    "h, r",
+    [(P3, 0), (P3, 1), (P4, 0), (BrauerMonoid(4), 0), (C4, None)],
+    ids=["P3r0", "P3r1", "P4r0", "B4r0", "C4"],
+)
+def test_linked_scans_match_definition_oracle(h, r):
+    """Both scans against `is_linked_diamond`, which tests all four
+    friendly pairs: every (s, u; v, w) with v = p s p and w = p u p by
+    products, p in canonical order, each diamond kept with its first p
+    under (s, u; v, w) ~ (u, s; w, v), and each triangle (v = s) with its
+    first p."""
+    d = dclass_data(h, r)
+    P = d.projections
+    dias, tris = {}, {}
+    for p in h.projections():
+        conj = [h.product(h.product(p, s), p) for s in P]
+        for (si, s), (ui, u) in itertools.product(enumerate(P), repeat=2):
+            v, w = conj[si], conj[ui]
+            if is_linked_diamond(h, d, s, u, v, w, p):
+                vi, wi = d.proj_index(v), d.proj_index(w)
+                key = min((si, ui, vi, wi), (ui, si, wi, vi))
+                dias.setdefault(key, LinkedDiamond(s, u, v, w, p))
+                if v == s:
+                    tris.setdefault((si, ui, wi), (s, u, w, p))
+    assert enumerate_linked_diamonds(d) == [dias[k] for k in sorted(dias)]
+    assert linked_triangles(d) == [tris[k] for k in sorted(tris)]
 
 
 def reference_witness_index(d):

@@ -291,6 +291,7 @@ def test_brauer_gets_no_partition_hints(capsys):
     ["identify", "--n", "4", "--rank", "2", "--family", "pg", "--max-cosets", "0"],
     *(["identify", *BRAUER_42, "--family", "ig", "--tree", kind] for kind in ("s", "rank0")),
     *(["graph", *BRAUER_42, "--tree", kind] for kind in DEGREE_TREES),
+    ["graph", "--n", "4", "--rank", "2", "--tree", "rank0"],
 ), ids=(
     "tree-s-rank0", "no-cache", "cache-dir",
     *(f"adjacency-tree-{kind}" for kind in DEGREE_TREES),
@@ -308,6 +309,7 @@ def test_brauer_gets_no_partition_hints(capsys):
     "missing-graph-file", "unwritable-output", "max-cosets-below-1",
     *(f"brauer-identify-tree-{kind}" for kind in ("s", "rank0")),
     *(f"brauer-graph-tree-{kind}" for kind in DEGREE_TREES),
+    "graph-tree-rank0-at-rank-2",
 ))
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     paths = {"MISSING": tmp_path / "missing.edges", "UNWRITABLE": tmp_path / "missing" / "x"}

@@ -325,27 +325,41 @@ def test_verdict_json():
     assert isinstance(doc["evidence"], list)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize(
-    "r, want",
+    "n, r, want",
     [
-        (2, {
+        (5, 4, {"pg": "free of rank 6", "ig": "free of rank 26"}),
+        (5, 3, {
+            "pg": "S_3 (order 6, certified)",
+            "ig": "consistent with Z x S_3 (finite part order 6, certification: partial)",
+        }),
+        (5, 0, {"pg-triangles": "trivial"}),
+        (6, 5, {"pg": "free of rank 10", "ig": "free of rank 40"}),
+        (6, 4, {
+            "pg": "S_4 (order 24, certified)",
+            "ig": "consistent with Z x S_4 (finite part order 24, certification: partial)",
+        }),
+        pytest.param(5, 2, {
             "pg": "S_2 (order 2, certified)",
             "ig": "consistent with Z x S_2 (finite part order 2, certification: partial)",
-        }),
-        (0, {"ig": "Z (free rank 1)"}),
+        }, marks=pytest.mark.slow),
+        pytest.param(5, 0, {"ig": "Z (free rank 1)"}, marks=pytest.mark.slow),
     ],
-    ids=["P5r2", "P5r0"],
+    ids=["P5r4", "P5r3", "P5r0-triangles", "P6r5", "P6r4", "P5r2", "P5r0"],
 )
-def test_identify_degree5(r, want):
-    """PG(P(P_5)) at rank 2 is S_2, and IG(E(P_5)) is Z x S_2 at rank 2 and
-    Z at rank 0, with the default trees."""
+def test_identify_degrees_5_and_6(n, r, want):
+    """identify's verdicts at degrees 5 and 6 on each family's presentation,
+    with its default tree and hints: at rank n-1 PG is free of rank
+    C(n-1, 2) and IG free of rank (n-1)(3n-2)/2; at 1 <= r <= n-2 PG is
+    S_r and IG consistent with Z x S_r; at rank 0 PG, through linked
+    triangles, is trivial and IG is Z.  ig and pg share one square
+    search."""
     from diagfree.biorder import enumerate_singular_squares
     from diagfree.diagram import PartitionMonoid
     from diagfree.green import dclass_data
 
-    d = dclass_data(PartitionMonoid(5), r)
-    squares = enumerate_singular_squares(d)
+    d = dclass_data(PartitionMonoid(n), r)
+    squares = enumerate_singular_squares(d) if {"ig", "pg"} & set(want) else None
     got = {
         family: identify(
             subgroup_presentation(d, family, squares=squares), subgroup_hints(d, family)
