@@ -14,6 +14,7 @@ from .diagram import (
     Partition,
     d_projection,
     eq_refines,
+    idempotent_components,
     involution,
     multiply,
     partition_from_blocks,
@@ -177,8 +178,8 @@ class _WitnessIndex:
         else:
             by_rank: dict[int, list] = {}
             for q in h.projections():
-                if q.rank() > d.rank:
-                    by_rank.setdefault(q.rank(), []).append(q)
+                if (r := h.rank(q)) > d.rank:
+                    by_rank.setdefault(r, []).append(q)
             classes = by_rank.values()
             triples = _pair_triples(self.keys, d.e_of_pair)
         for P in classes:
@@ -487,12 +488,7 @@ def _nonprojection_nt_square(e: Partition) -> tuple[Square, Partition]:
     blocks = e.blocks()
     uppers = sorted([b for b in blocks if all(p > 0 for p in b)])
     assert uppers, "base must have an upper non-transversal"
-    comp_of = {}
-    for idx, (cls, _r) in enumerate(
-        sorted(((sorted(c), r) for c, r in _components(e)))
-    ):
-        for x in cls:
-            comp_of[x] = idx
+    comp_of = {x: k for k, (cls, _) in enumerate(idempotent_components(e)) for x in cls}
     trans = sorted(
         [b for b in blocks if any(p > 0 for p in b) and any(p < 0 for p in b)]
     )
@@ -500,14 +496,6 @@ def _nonprojection_nt_square(e: Partition) -> tuple[Square, Partition]:
     same = [t for t in trans if comp_of[t[0]] == comp_of[A[0]]]
     target = same[0] if same else trans[0]
     return ehresmann_square(e, _merge_blocks(e, [A, target]))
-
-
-def _components(e: Partition):
-    from .diagram import idempotent_components
-
-    comps = idempotent_components(e)
-    assert comps is not None, "base must be an idempotent"
-    return comps
 
 
 def ehresmann_square(e: Partition, f: Partition) -> tuple[Square, Partition]:

@@ -1,15 +1,17 @@
 """Command-line front end: stats, presentations, identification, square and
 graph dumps, and the acceptance suite.
 
-Exit codes: 0 ok, 1 acceptance failure, 2 usage error, 3 internal error
-(the traceback goes to stderr).  Every command recomputes its D-class and
-squares; nothing is written to disk except -o files.
+Exit codes: 0 ok (also when the reader closes stdout early), 1 acceptance
+failure, 2 usage error, 3 internal error (the traceback goes to stderr).
+Every command recomputes its D-class and squares; nothing is written to
+disk except -o files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -36,7 +38,7 @@ from .ghgraph import (
     is_connected,
     named_tree,
 )
-from .groupid import identify, subgroup_hints
+from .groupid import MAX_COSETS, identify, subgroup_hints
 from .present import (
     FAMILIES,
     subgroup_presentation,
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="ig", choices=FAMILIES)
     p.add_argument("--tree", default="auto", choices=SPANNING_TREES,
                    help="ig and pg only; auto means pg for pg")
-    p.add_argument("--max-cosets", type=positive_int, default=10**6)
+    p.add_argument("--max-cosets", type=positive_int, default=MAX_COSETS)
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.set_defaults(func=cmd_identify)
 
@@ -294,7 +296,14 @@ def main(argv=None) -> int:
             "and the projections use it), and T_n has none"
         )
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): not an error.  The rest of
+        # the output, and the interpreter's exit flush, go to os.devnull.
+        sys.stdout = open(os.devnull, "w")
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -475,13 +475,11 @@ class FiniteStarSemigroup:
     def text(self, x) -> str:
         raise NotImplementedError
 
-    def parse(self, s: str):
-        raise NotImplementedError
-
     def sort_key(self, x):
         return x
 
     def rank(self, x) -> int | None:
+        """The D-class of x, as `green.dclass_data` indexes it."""
         return None
 
     # shared helpers
@@ -607,9 +605,6 @@ class PartitionHandleBase(FiniteStarSemigroup):
 
     def text(self, x: Partition) -> str:
         return x.to_text()
-
-    def parse(self, s: str) -> Partition:
-        return partition_from_text(self.n, s)
 
     def sort_key(self, x: Partition):
         return x.labels
@@ -782,17 +777,12 @@ class AdjacencySemigroup(FiniteStarSemigroup):
             return "0"
         return f"({x[0]},{x[1]})"
 
-    def parse(self, s: str):
-        s = s.strip()
-        if s == "0":
-            return ADJ_ZERO
-        if not (s.startswith("(") and s.endswith(")")):
-            raise ValueError(f"bad adjacency element text {s!r}")
-        p, q = s[1:-1].split(",")
-        return (p.strip(), q.strip())
-
     def sort_key(self, x):
         return (0,) if x == ADJ_ZERO else (1, x)
+
+    def rank(self, x) -> int | None:
+        """0 for the zero; None for the one non-zero D-class."""
+        return 0 if x == ADJ_ZERO else None
 
     def describe(self) -> str:
         return f"A(graph on {len(self.vertices)} vertices)"

@@ -122,7 +122,7 @@ def spanning_tree_with_projections(g: GHGraph) -> TreeSet:
     a cycle before the graph is spanned.
     """
     d = g.dclass
-    if not d.is_star:
+    if not d.handle.has_star:
         raise ValueError("requires a projection-indexed D-class")
     nl = g.n_left
     pairs = [(i, i) for i in range(nl)] + sorted(g.edges)
@@ -397,10 +397,10 @@ def gh_to_dot(g: GHGraph, tree: TreeSet | None = None) -> str:
     tree_edges = set(tree.edges) if tree is not None else set()
     lines = ["graph gh {", "  rankdir=TB;", "  node [shape=box, fontsize=9];"]
     for i, p in enumerate(d.projections):
-        label = h.text(p) if d.is_star else str(p)
+        label = h.text(p) if d.handle.has_star else str(p)
         lines.append(f'  L{i} [label="R: {_dot_escape(label)}"];')
     for j, q in enumerate(d.lreps):
-        label = h.text(q) if d.is_star else str(q)
+        label = h.text(q) if d.handle.has_star else str(q)
         lines.append(f'  R{j} [label="L: {_dot_escape(label)}"];')
     for (i, j) in sorted(g.edges):
         e = g.edges[(i, j)]

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
-from .diagram import (
-    ADJ_ZERO,
-    AdjacencySemigroup,
-    FiniteStarSemigroup,
-    Partition,
-    PartitionHandleBase,
-)
+from .diagram import AdjacencySemigroup, FiniteStarSemigroup, PartitionHandleBase
 
 
 class EmptyClassError(ValueError):
@@ -96,10 +90,6 @@ class DClassData:
     e_of_pair: dict[tuple[int, int], Any]  # in canonical order of E_D
 
     @property
-    def is_star(self) -> bool:
-        return self.handle.has_star
-
-    @property
     def size(self) -> int:
         group = 1 if self.rank is None else math.factorial(self.rank)
         return len(self.projections) * len(self.lreps) * group
@@ -135,7 +125,8 @@ class DClassData:
     def elements(self) -> list:
         """The members of D, by a filter over the whole monoid: a reference
         for the tests, which no pipeline stage reads."""
-        return [x for x in self.handle.elements() if _in_class(x, self.rank)]
+        h = self.handle
+        return [x for x in h.elements() if h.rank(x) == self.rank]
 
     @cached_property
     def _pindex(self) -> dict:
@@ -170,29 +161,17 @@ def friendly_products(h: FiniteStarSemigroup, P: list) -> dict[tuple[int, int], 
     a bijection onto its idempotents.  One product per ordered pair:
     (p q)(p q)* = p q p, so p q R p iff p q p = p, and dually p q L q iff
     q p q = q.  As p q <=_R p and p q <=_L q, in a finite semigroup both
-    hold iff p D q and p q D p.
+    hold iff p D q and p q D p, with D-classes read off `h.rank`.
     """
-    prod = h.product
-    cls = [_class_of(p) for p in P]
+    prod, rank = h.product, h.rank
+    cls = [rank(p) for p in P]
     out = {}
     for i, p in enumerate(P):
         for j, q in enumerate(P):
             x = prod(p, q)
-            if _class_of(x) == cls[i] == cls[j]:
+            if rank(x) == cls[i] == cls[j]:
                 out[(i, j)] = x
     return out
-
-
-def _class_of(x):
-    """The D-class of x: its rank, or for an adjacency element whether it
-    is the zero."""
-    return x.rank() if isinstance(x, Partition) else x == ADJ_ZERO
-
-
-def _in_class(x, r: int | None) -> bool:
-    """Membership of the rank-r class, or of the non-zero adjacency class
-    when r is None."""
-    return x != ADJ_ZERO if r is None else x.rank() == r
 
 
 def dclass_data(h: FiniteStarSemigroup, r: int | None = None) -> DClassData:
@@ -220,11 +199,11 @@ def dclass_data(h: FiniteStarSemigroup, r: int | None = None) -> DClassData:
     elif r is None:
         raise EmptyClassError("a rank is required for partition-like handles")
     if h.has_star:
-        projections = [p for p in h.projections() if _in_class(p, r)]
+        projections = [p for p in h.projections() if h.rank(p) == r]
         lreps = projections
         pairs = friendly_products(h, projections).items()
     else:
-        rank_idem = [e for e in h.idempotents() if _in_class(e, r)]
+        rank_idem = [e for e in h.idempotents() if h.rank(e) == r]
         projections = sorted({DClassData._rkey(e) for e in rank_idem})
         lreps = sorted({DClassData._lkey(e) for e in rank_idem})
         rindex = {k: i for i, k in enumerate(projections)}

@@ -107,6 +107,9 @@ def abelianization(p: GroupPresentation) -> AbelianInvariants:
 
 # -- Todd-Coxeter coset enumeration ---------------------------------------------
 
+# The default bound on the cosets of one enumeration (`--max-cosets`).
+MAX_COSETS = 10**6
+
 
 @dataclass
 class CosetTable:
@@ -122,7 +125,7 @@ class _Overflow(Exception):
     """Raised inside `todd_coxeter` by the definition that passes its bound."""
 
 
-def todd_coxeter(p: GroupPresentation, max_cosets: int = 10**6) -> CosetTable:
+def todd_coxeter(p: GroupPresentation, max_cosets: int = MAX_COSETS) -> CosetTable:
     """HLT enumeration of the cosets of the trivial subgroup: scan each live
     coset's relators in turn, defining a coset wherever a scan stops short
     of closing, then fill the coset's empty entries.  Every relator a scan
@@ -292,11 +295,11 @@ class IdentifyHints:
     rank: int | None = None  # the r of a hoped-for S_r / Z x S_r
     labels: dict[str, tuple[int, ...]] | None = None
     quotient_generators: tuple[str, ...] = ()
-    max_cosets: int = 10**6
+    max_cosets: int = MAX_COSETS
 
 
 def subgroup_hints(
-    d: DClassData, family: str, max_cosets: int = 10**6
+    d: DClassData, family: str, max_cosets: int = MAX_COSETS
 ) -> IdentifyHints:
     """Hints for the `family` presentation of `subgroup_presentation` over
     d: ig and pg of a P_n class at rank r >= 1 get r and the label of each
@@ -373,7 +376,8 @@ def identify(
     reported as partial) abelian invariants, quotient by a hinted generator
     enumerating to r!, and the label homomorphism.  The quotient is the
     simplified presentation plus the hinted generators' images through the
-    elimination record.  `simplified`, a `tietze_simplify` result for p
+    elimination record; it is enumerated only when its abelianization is
+    finite.  `simplified`, a `tietze_simplify` result for p
     that the caller already holds, is used instead of simplifying again.
     """
     hints = hints or IdentifyHints()
@@ -397,16 +401,17 @@ def identify(
         order = label_check.image_order
         if label_check.valid and r is not None and order == math.factorial(r):
             sr_order = order
+
+    def certified() -> Verdict:
+        """S_r: Q has order r!, and the labels map it onto S_r."""
+        return Verdict(
+            "finite", order=sr_order, tag=f"S_{r}", certification="certified", evidence=ev
+        )
+
     if not q.relators:
         if not q.generators:
             if sr_order == 1:
-                return Verdict(
-                    "finite",
-                    order=1,
-                    tag=f"S_{r}",
-                    certification="certified",
-                    evidence=ev,
-                )
+                return certified()
             return Verdict("finite", rank=0, order=1, evidence=ev)
         return Verdict("free", rank=len(q.generators), evidence=ev)
     ab = abelianization(q)
@@ -418,13 +423,7 @@ def identify(
             return Verdict("unknown", evidence=ev)
         ev.append(f"coset enumeration: order {ct.order}")
         if ct.order == sr_order:
-            return Verdict(
-                "finite",
-                order=ct.order,
-                tag=f"S_{r}",
-                certification="certified",
-                evidence=ev,
-            )
+            return certified()
         return Verdict("finite", order=ct.order, evidence=ev)
     if ab.free_rank == 1 and hints.quotient_generators:
         expected_torsion = () if (r is None or r <= 1) else (2,)
@@ -437,11 +436,14 @@ def identify(
             (p.gen_index(name) + 1,) for name in hints.quotient_generators
         )
         qsimp = tietze_simplify(qp)
+        names = ", ".join(hints.quotient_generators)
+        qab = abelianization(qsimp.presentation)
+        if qab.free_rank:
+            ev.append(f"quotient by {names} is infinite: abelianization {qab.describe()}")
+            return Verdict("unknown", evidence=ev)
         ct = todd_coxeter(qsimp.presentation, hints.max_cosets)
         if ct.complete:
-            ev.append(
-                f"quotient by {', '.join(hints.quotient_generators)}: order {ct.order}"
-            )
+            ev.append(f"quotient by {names}: order {ct.order}")
         else:
             ev.append("quotient enumeration incomplete")
             return Verdict("unknown", evidence=ev)

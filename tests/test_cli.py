@@ -342,6 +342,55 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "Traceback" in err
 
 
+def test_closed_stdout_is_not_an_error(capsys, monkeypatch):
+    """A reader that closes stdout early, as `| head` does, gets exit 0 and
+    nothing on stderr; the rest of the output goes to os.devnull."""
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["stats", "--n", "3", "--rank", "1"]) == 0
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
+
+
+# The (4, 2) IG verdict depends on the spanning tree today.  Over s the
+# quotient by the first P_1 projection has order 2!.  Over bfs the labels
+# are not a homomorphism on the full presentation.  Over pg that projection
+# is a tree edge, so the quotient is Q itself, whose abelianization Z x Z_2
+# is infinite, and it is not enumerated.
+IG_42_BY_TREE = {
+    "s": ("consistent with Z x S_2", "quotient by a[1 2 1' 2'; 3 3'; 4; 4']: order 2"),
+    "bfs": ("unknown", "label homomorphism valid=False"),
+    "pg": ("unknown", "quotient by a[1 2 1' 2'; 3 3'; 4; 4'] is infinite: "
+                      "abelianization Z x Z_2"),
+}
+
+
+@pytest.mark.parametrize("tree", IG_42_BY_TREE)
+def test_identify_ig_42_by_tree(tree, capsys, monkeypatch):
+    from diagfree import groupid
+
+    enumerated = []
+    todd_coxeter = groupid.todd_coxeter
+    monkeypatch.setattr(
+        groupid, "todd_coxeter", lambda *a: enumerated.append(a) or todd_coxeter(*a)
+    )
+    code, out = run(
+        capsys, "identify", "--family", "ig", "--n", "4", "--rank", "2", "--tree", tree
+    )
+    verdict, evidence = IG_42_BY_TREE[tree]
+    assert code == 0
+    assert out.startswith(verdict) and f"  - {evidence}" in out
+    assert ("certification: partial" in out) == (tree == "s")
+    assert bool(enumerated) == (tree != "pg")
+
+
 # sha256 of `presentation` stdout, taken before the tree and family choice
 # moved into the library: every family with its default tree, and ig over
 # three named trees.

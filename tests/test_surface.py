@@ -1,8 +1,9 @@
 """Guard against dead public API: every public module-level function or class
-of the package is used somewhere else in the package, or is a named object
-of the paper kept for its own sake."""
+of the package, and every public method or property of its classes, is used
+somewhere else in the package, or is kept for a stated reason."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "diagfree"
@@ -16,6 +17,13 @@ PAPER_OBJECTS = (
     "r_projection",  # the right projection R(a) = id_coker(a), with a R(a) = a
     "relator_key",  # relators up to rotation and inversion, the Tietze key
     "emit_semigroup_presentation",  # the defining presentations of IG, RIG, PG
+)
+
+
+# Public methods that nothing in the package reads, each with its reason.
+KEPT_METHODS = (
+    "ranks",  # each handle's D-class ranks, which the tests parametrise over
+    "render",  # SemigroupPresentationDoc's text: the paper's presentation of IG, RIG, PG
 )
 
 
@@ -67,3 +75,35 @@ def test_public_api_is_used_or_a_paper_object():
     ]
     assert not unused, f"public names used nowhere else in the package: {unused}"
     assert set(PAPER_OBJECTS) <= {name for _, _, name in defs}
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How often node reads each attribute name, as in `h.rank(x)`."""
+    return Counter(
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def test_public_methods_are_read_or_kept():
+    """A method or property counts as used when `.name` is read somewhere
+    in the package outside its own body."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    methods = [
+        (f"{module}:{cls.name}.{node.name}", node)
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    unused = [
+        where
+        for where, node in methods
+        if node.name not in KEPT_METHODS
+        and reads[node.name] == _attribute_reads(node)[node.name]
+    ]
+    assert not unused, f"public methods read nowhere else in the package: {unused}"
+    assert set(KEPT_METHODS) <= {node.name for _, node in methods}
