@@ -255,7 +255,6 @@ def permutation_group_order(gens: list[tuple[int, ...]]) -> int:
 class LabelCheck:
     valid: bool
     image_order: int
-    failures: tuple[str, ...] = ()
 
 
 def check_label_homomorphism(
@@ -271,20 +270,15 @@ def check_label_homomorphism(
     deg = len(perms[0]) if perms else 0
     ident = tuple(range(deg))
     inverses = [perm_inv(g) for g in perms]
-    failures = []
+    valid = True
     for w in p.relators:
         acc = ident
         for x in w:
             acc = perm_compose(acc, perms[x - 1] if x > 0 else inverses[-x - 1])
         if acc != ident:
-            failures.append(p.word_str(w))
-            if len(failures) >= 5:
-                break
-    return LabelCheck(
-        valid=not failures,
-        image_order=permutation_group_order(perms),
-        failures=tuple(failures),
-    )
+            valid = False
+            break
+    return LabelCheck(valid, permutation_group_order(perms))
 
 
 # -- combined verdict ---------------------------------------------------------------
@@ -377,8 +371,16 @@ def identify(
     enumerating to r!, and the label homomorphism.  The quotient is the
     simplified presentation plus the hinted generators' images through the
     elimination record; it is enumerated only when its abelianization is
-    finite.  `simplified`, a `tietze_simplify` result for p
-    that the caller already holds, is used instead of simplifying again.
+    finite, and only once the torsion and the label map fit the target.
+    `simplified`, a `tietze_simplify` result for p that the caller already
+    holds, is used instead of simplifying again.
+
+    The labels are checked on Q, the simplified presentation, and only Q's
+    generators' labels are read.  Q presents p's group G, so a map killing
+    Q's relators is a homomorphism G -> S_r; with |Q| = r! and image order
+    r! it certifies S_r.  Where the check on p holds, each eliminated
+    generator's label equals that of the word replacing it, so the check on
+    Q gives the same result and image order.
     """
     hints = hints or IdentifyHints()
     ev: list[str] = []
@@ -393,7 +395,7 @@ def identify(
     r = hints.rank
     sr_order = None  # r! when the label map is a homomorphism onto S_r
     if hints.labels is not None:
-        label_check = check_label_homomorphism(p, hints.labels)
+        label_check = check_label_homomorphism(q, hints.labels)
         ev.append(
             f"label homomorphism valid={label_check.valid}, "
             f"image order {label_check.image_order}"
@@ -432,6 +434,8 @@ def identify(
             f"torsion {ab.torsion} {'matches' if torsion_ok else 'differs from'} "
             f"the direct-product target {expected_torsion}"
         )
+        if not torsion_ok or sr_order is None:
+            return Verdict("unknown", evidence=ev)
         qp = simp.quotient(
             (p.gen_index(name) + 1,) for name in hints.quotient_generators
         )
@@ -447,7 +451,7 @@ def identify(
         else:
             ev.append("quotient enumeration incomplete")
             return Verdict("unknown", evidence=ev)
-        if torsion_ok and ct.order == sr_order:
+        if ct.order == sr_order:
             ev.append(
                 "certification is partial: the final direct-product step is "
                 "not mechanised"

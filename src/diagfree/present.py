@@ -35,15 +35,6 @@ class GroupPresentation:
     def gen_index(self, name: str) -> int:
         return self.generators.index(name)
 
-    def word_str(self, w: Word) -> str:
-        if not w:
-            return "1"
-        parts = []
-        for x in w:
-            name = self.generators[abs(x) - 1]
-            parts.append(name if x > 0 else name + "^-1")
-        return "*".join(parts)
-
     def describe(self) -> str:
         return (
             f"<{len(self.generators)} generators | {len(self.relators)} relators>"

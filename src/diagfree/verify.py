@@ -209,9 +209,13 @@ def criterion_8(include_slow: bool = False) -> CriterionResult:
     details = []
     ok = True
     for n, r in cases:
-        v = identify(_presentation("pg", n, r), subgroup_hints(dclass("pn", n, r), "pg"))
+        pres = _presentation("pg", n, r)
+        hints = subgroup_hints(dclass("pn", n, r), "pg")
+        lc = check_label_homomorphism(pres, hints.labels)
+        v = identify(pres, hints)
         good = (
-            v.kind == "finite"
+            lc.valid and lc.image_order == math.factorial(r)
+            and v.kind == "finite"
             and v.order == math.factorial(r)
             and v.certification == "certified"
             and v.tag == f"S_{r}"

@@ -359,14 +359,14 @@ def test_closed_stdout_is_not_an_error(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
-# The (4, 2) IG verdict depends on the spanning tree today.  Over s the
-# quotient by the first P_1 projection has order 2!.  Over bfs the labels
-# are not a homomorphism on the full presentation.  Over pg that projection
-# is a tree edge, so the quotient is Q itself, whose abelianization Z x Z_2
-# is infinite, and it is not enumerated.
+# The (4, 2) IG verdict depends on the spanning tree today.  Over s and bfs
+# the quotient by the first P_1 projection has order 2!; over bfs the raw
+# labels fail on the full presentation but hold on Q, where identify checks
+# them.  Over pg that projection is a tree edge, so the quotient is Q
+# itself, whose abelianization Z x Z_2 is infinite, and it is not enumerated.
 IG_42_BY_TREE = {
     "s": ("consistent with Z x S_2", "quotient by a[1 2 1' 2'; 3 3'; 4; 4']: order 2"),
-    "bfs": ("unknown", "label homomorphism valid=False"),
+    "bfs": ("consistent with Z x S_2", "quotient by a[1 2 1' 2'; 3 3'; 4; 4']: order 2"),
     "pg": ("unknown", "quotient by a[1 2 1' 2'; 3 3'; 4; 4'] is infinite: "
                       "abelianization Z x Z_2"),
 }
@@ -387,8 +387,30 @@ def test_identify_ig_42_by_tree(tree, capsys, monkeypatch):
     verdict, evidence = IG_42_BY_TREE[tree]
     assert code == 0
     assert out.startswith(verdict) and f"  - {evidence}" in out
-    assert ("certification: partial" in out) == (tree == "s")
+    assert ("certification: partial" in out) == (tree != "pg")
     assert bool(enumerated) == (tree != "pg")
+
+
+def test_identify_z_cross_route_stops_at_failed_label_premise(capsys, monkeypatch):
+    """Over bfs at (5, 3) the raw labels fail on Q, so the Z x S_r route
+    ends in unknown after the torsion line: no quotient is simplified or
+    enumerated."""
+    from diagfree import groupid
+
+    calls = []
+    for name in ("todd_coxeter", "tietze_simplify"):
+        fn = getattr(groupid, name)
+        monkeypatch.setattr(
+            groupid, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
+        )
+    code, out = run(
+        capsys, "identify", "--family", "ig", "--n", "5", "--rank", "3", "--tree", "bfs"
+    )
+    assert code == 0
+    assert out.startswith("unknown")
+    assert "  - label homomorphism valid=False, image order 3" in out
+    assert out.rstrip().endswith("the direct-product target (2,)")
+    assert calls == ["tietze_simplify"]
 
 
 # sha256 of `presentation` stdout, taken before the tree and family choice

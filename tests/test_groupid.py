@@ -1,5 +1,6 @@
 """Smith normal form, coset enumeration, labels, and the verdict pipeline."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from diagfree.groupid import (
     subgroup_hints,
     todd_coxeter,
 )
-from diagfree.present import subgroup_presentation
+from diagfree.present import subgroup_presentation, tietze_simplify
 
 S3 = GroupPresentation(("s1", "s2"), ((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)))
 
@@ -106,7 +107,6 @@ def _coxeter(m):
 def _ig_quotient_p42():
     """The simplified quotient the Z x S_2 route enumerates at (P_4, 2)."""
     from diagfree import verify
-    from diagfree.present import tietze_simplify
 
     d = verify.dclass("pn", 4, 2)
     pres = subgroup_presentation(d, "ig", squares=verify.squares("pn", 4, 2))
@@ -170,7 +170,7 @@ def test_label_homomorphism_checks():
     ok = check_label_homomorphism(S3, {"s1": (1, 0, 2), "s2": (0, 2, 1)})
     assert ok.valid and ok.image_order == 6
     bad = check_label_homomorphism(S3, {"s1": (1, 0, 2), "s2": (1, 2, 0)})
-    assert not bad.valid and bad.failures
+    assert not bad.valid and bad.image_order == 6
     with pytest.raises(KeyError):
         check_label_homomorphism(S3, {"s1": (1, 0, 2)})
     assert permutation_group_order([]) == 1
@@ -178,27 +178,24 @@ def test_label_homomorphism_checks():
 
 def _reference_label_check(p, assignment):
     """The label check that inverts a permutation at every inverse letter:
-    (valid, image_order, failures)."""
+    (valid, image_order)."""
     perms = [tuple(assignment[name]) for name in p.generators]
     ident = tuple(range(len(perms[0])))
-    failures = []
+    valid = True
     for w in p.relators:
         acc = ident
         for x in w:
             g = perms[abs(x) - 1]
             acc = perm_compose(acc, g if x > 0 else perm_inv(g))
-        if acc != ident:
-            failures.append(p.word_str(w))
-            if len(failures) >= 5:
-                break
-    return not failures, permutation_group_order(perms), tuple(failures)
+        valid = valid and acc == ident
+    return valid, permutation_group_order(perms)
 
 
 def test_label_check_matches_per_letter_inverses():
-    """Inverting each generator once gives the verdict, the first five
-    failures in order and the image order of inverting at every letter,
-    on the labels and on a deliberately wrong assignment of 4-cycles and
-    3-cycles, whose inverses differ from themselves."""
+    """Inverting each generator once gives the verdict and the image order
+    of inverting at every letter, on the labels and on a deliberately wrong
+    assignment of 4-cycles and 3-cycles, whose inverses differ from
+    themselves."""
     from diagfree import verify
 
     d = verify.dclass("pn", 4, 2)
@@ -209,11 +206,34 @@ def test_label_check_matches_per_letter_inverses():
     assert any(perm_inv(g) != g for g in wrong.values())
     for assignment, valid in ((labels, True), (wrong, False)):
         got = check_label_homomorphism(pres, assignment)
-        assert (got.valid, got.image_order, got.failures) == _reference_label_check(
-            pres, assignment
-        )
+        assert (got.valid, got.image_order) == _reference_label_check(pres, assignment)
         assert got.valid is valid
-    assert len(got.failures) == 5
+
+
+@pytest.mark.parametrize("n, r", [(3, 1), (4, 1), (4, 2), (5, 3)])
+@pytest.mark.parametrize("family, tree", [("ig", "s"), ("pg", "pg")])
+def test_label_check_on_q_matches_full_presentation(n, r, family, tree, monkeypatch):
+    """The labels are a homomorphism onto S_r on the full presentation,
+    and the check on Q gives the same result and image order; identify
+    checks them on Q alone, reading only the labels of Q's generators."""
+    from diagfree import groupid, verify
+
+    d = verify.dclass("pn", n, r)
+    pres = subgroup_presentation(d, family, tree, squares=verify.squares("pn", n, r))
+    hints = subgroup_hints(d, family)
+    simp = tietze_simplify(pres)
+    full = check_label_homomorphism(pres, hints.labels)
+    assert full.valid and full.image_order == math.factorial(r)
+    assert check_label_homomorphism(simp.presentation, hints.labels) == full
+    checked = []
+    check = groupid.check_label_homomorphism
+    monkeypatch.setattr(
+        groupid,
+        "check_label_homomorphism",
+        lambda p, labels: checked.append(p.generators) or check(p, labels),
+    )
+    identify(pres, hints, simplified=simp)
+    assert checked == [simp.presentation.generators]
 
 
 def test_identify_free_and_trivial():
@@ -256,27 +276,41 @@ def test_identify_unknown_carries_evidence():
 
 
 def test_identify_never_certifies_beyond_its_evidence():
-    """On each certifying route, a label map that is not a homomorphism,
-    or whose image order is not r!, gives no certified or partial tag: no
-    generators left (PG at (3, 1), S_1), Todd-Coxeter (S_3) and the
-    Z x S_2 quotient.  The first hints of each case certify."""
+    """On each certifying route, a label map that is not a homomorphism
+    on Q, the simplified presentation, or whose image order is not r!,
+    gives no certified or partial tag: no generators left (PG at (3, 1),
+    S_1), Todd-Coxeter (S_3, and PG at (5, 3), whose Q keeps 2 generators
+    and 10 relators) and the Z x S_2 quotient.  The first hints of each
+    case certify."""
     from diagfree import verify
 
     d = verify.dclass("pn", 3, 1)
     pg = subgroup_presentation(d, "pg", squares=verify.squares("pn", 3, 1))
     pg_hints = subgroup_hints(d, "pg")
+    d5 = verify.dclass("pn", 5, 3)
+    pg5 = subgroup_presentation(d5, "pg", squares=verify.squares("pn", 5, 3))
+    pg5_hints = subgroup_hints(d5, "pg")
+    a, b = tietze_simplify(pg5).presentation.generators
+    labels5 = pg5_hints.labels
     zs2 = GroupPresentation(("t", "x"), ((2, 2), (1, 2, -1, -2)))
 
     def zs2_hints(t, x):
         return IdentifyHints(rank=2, labels={"t": t, "x": x}, quotient_generators=("t",))
 
+    # Every tree relator of PG at (3, 1) maps to a transposition, but its Q
+    # has no generators: the group is trivial, and S_1 is the right verdict.
+    transpositions = replace(pg_hints, labels={g: (1, 0) for g in pg.generators})
+    assert identify(pg, transpositions).describe() == "S_1 (order 1, certified)"
     cases = [
         (pg, "S_1 (order 1, certified)", [
             pg_hints,
-            # every tree relator maps to a transposition
-            replace(pg_hints, labels={g: (1, 0) for g in pg.generators}),
             # image order 1, not 2!
             replace(pg_hints, rank=2),
+        ]),
+        (pg5, "S_3 (order 6, certified)", [
+            pg5_hints,
+            # onto S_3, but Q's relator a^-2 maps to a 3-cycle
+            replace(pg5_hints, labels={**labels5, a: labels5[b], b: labels5[a]}),
         ]),
         (S3, "S_3 (order 6, certified)", [
             IdentifyHints(rank=3, labels={"s1": (1, 0, 2), "s2": (0, 2, 1)}),

@@ -1,6 +1,7 @@
 """Guard against dead public API: every public module-level function or class
-of the package, and every public method or property of its classes, is used
-somewhere else in the package, or is kept for a stated reason."""
+of the package, every public method or property of its classes, and every
+public annotated field of its classes is used somewhere else in the package,
+or is kept for a stated reason."""
 
 import ast
 from collections import Counter
@@ -24,6 +25,13 @@ PAPER_OBJECTS = (
 KEPT_METHODS = (
     "ranks",  # each handle's D-class ranks, which the tests parametrise over
     "render",  # SemigroupPresentationDoc's text: the paper's presentation of IG, RIG, PG
+)
+
+
+# Public annotated fields that nothing in the package reads, each with its
+# reason.
+KEPT_FIELDS = (
+    "cosets_defined",  # the coset counter that `benchmarks/spans.py` and the tests read
 )
 
 
@@ -107,3 +115,23 @@ def test_public_methods_are_read_or_kept():
     ]
     assert not unused, f"public methods read nowhere else in the package: {unused}"
     assert set(KEPT_METHODS) <= {node.name for _, node in methods}
+
+
+def test_public_fields_are_read_or_kept():
+    """An annotated field counts as used when `.name` is read anywhere in
+    the package."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    fields = [
+        (f"{module}:{cls.name}.{node.target.id}", node.target.id)
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign)
+        and isinstance(node.target, ast.Name)
+        and not node.target.id.startswith("_")
+    ]
+    unused = [where for where, name in fields if name not in KEPT_FIELDS and not reads[name]]
+    assert not unused, f"public fields read nowhere in the package: {unused}"
+    assert set(KEPT_FIELDS) <= {name for _, name in fields}
