@@ -63,9 +63,9 @@ def make_handle(args) -> FiniteStarSemigroup:
         return TransformationMonoid(args.n, allow_large=args.allow_large)
     if kind == "adjacency":
         if not args.graph:
-            raise SystemExit2("--graph FILE is required for adjacency semigroups")
+            raise ValueError("--graph FILE is required for adjacency semigroups")
         return read_adjacency(Path(args.graph))
-    raise SystemExit2(f"unknown monoid kind {args.monoid!r}")
+    raise ValueError(f"unknown monoid kind {args.monoid!r}")
 
 
 def read_adjacency(path: Path) -> AdjacencySemigroup:
@@ -75,7 +75,7 @@ def read_adjacency(path: Path) -> AdjacencySemigroup:
     try:
         text = path.read_text()
     except OSError as exc:
-        raise SystemExit2(f"cannot read --graph file: {exc}")
+        raise ValueError(f"cannot read --graph file: {exc}")
     for line in text.splitlines():
         toks = line.split()
         if not toks or toks[0].startswith("#"):
@@ -84,16 +84,10 @@ def read_adjacency(path: Path) -> AdjacencySemigroup:
             vertices.add(toks[0])
             continue
         if len(toks) != 2:
-            raise SystemExit2(f"bad edge line {line!r}")
+            raise ValueError(f"bad edge line {line!r}")
         vertices.update(toks)
         edges.append((toks[0], toks[1]))
     return AdjacencySemigroup(sorted(vertices), edges)
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, msg: str):
-        print(f"error: {msg}", file=sys.stderr)
-        super().__init__(2)
 
 
 def squares_to_doc(d: DClassData, squares: list[SquareEntry]) -> dict:
@@ -122,7 +116,7 @@ def write_output(args, out: str) -> None:
         try:
             Path(args.output).write_text(out)
         except OSError as exc:
-            raise SystemExit2(f"cannot write -o file: {exc}")
+            raise ValueError(f"cannot write -o file: {exc}")
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(out)
@@ -290,12 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command in NEEDS_INVOLUTION and args.monoid.lower() in TN_KINDS:
-        raise SystemExit2(
-            f"{args.command} needs an involution (the singular-square search "
-            "and the projections use it), and T_n has none"
-        )
     try:
+        if args.command in NEEDS_INVOLUTION and args.monoid.lower() in TN_KINDS:
+            raise ValueError(
+                f"{args.command} needs an involution (the singular-square search "
+                "and the projections use it), and T_n has none"
+            )
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -17,6 +17,7 @@ from .diagram import (
     Partition,
     PartitionMonoid,
     involution,
+    is_projection,
     partition_from_blocks,
     partition_projections,
     transformation_partition,
@@ -64,16 +65,16 @@ def build_gh_graph(d: DClassData) -> GHGraph:
     return GHGraph(d, dict(d.e_of_pair))
 
 
-def _forest(g: GHGraph, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """The positions of the edges (i, j) in `pairs` that join two
-    components of the edges before them: a spanning forest of g's vertices
-    grown in list order by union-find, over left i and right n_left + j.
-    It has |V| - 1 positions exactly when the edges connect g, and every
-    position exactly when they close no cycle."""
-    root = list(range(g.n_left + g.n_right))
+def _forest(size: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The positions of the edges (a, b) in `pairs` that join two
+    components of the edges before them: a spanning forest of the vertices
+    0 .. size - 1 grown in list order by union-find.  It has size - 1
+    positions exactly when the edges connect the vertices, and every
+    position exactly when they close no cycle.  On a Graham-Houghton graph
+    left i is vertex i and right j is vertex n_left + j."""
+    root = list(range(size))
     taken = []
     for pos, (a, b) in enumerate(pairs):
-        b += g.n_left
         while root[a] != a:
             root[a] = root[root[a]]
             a = root[a]
@@ -88,7 +89,8 @@ def _forest(g: GHGraph, pairs: Iterable[tuple[int, int]]) -> list[int]:
 
 def is_connected(g: GHGraph) -> bool:
     total = g.n_left + g.n_right
-    return total > 0 and len(_forest(g, g.edges)) == total - 1
+    fused = ((i, g.n_left + j) for i, j in g.edges)
+    return total > 0 and len(_forest(total, fused)) == total - 1
 
 
 def spanning_tree_bfs(g: GHGraph) -> TreeSet:
@@ -128,7 +130,7 @@ def spanning_tree_with_projections(g: GHGraph) -> TreeSet:
     pairs = [(i, i) for i in range(nl)] + sorted(g.edges)
     if any(pair not in g.edges for pair in pairs[:nl]):
         raise ValueError("graph lacks a projection edge")
-    taken = _forest(g, pairs)
+    taken = _forest(nl + g.n_right, [(i, nl + j) for i, j in pairs])
     if len(taken) != nl + g.n_right - 1:
         raise ValueError("graph is not connected")
     edges = sorted((g.edges[pairs[k]] for k in taken), key=d.handle.sort_key)
@@ -159,7 +161,8 @@ def verify_spanning_tree(g: GHGraph, t: TreeSet) -> bool:
     if any(pair is None or pair[0] not in left or pair[1] not in right for pair in pairs):
         return False
     size = len(left) + len(right)
-    return len(pairs) == size - 1 and len(_forest(g, pairs)) == size - 1
+    fused = [(i, g.n_left + j) for i, j in pairs]
+    return len(pairs) == size - 1 and len(_forest(g.n_left + g.n_right, fused)) == size - 1
 
 
 # -- named trees for the partition monoid -------------------------------------
@@ -277,8 +280,6 @@ def t_fc(n: int, r: int) -> TreeSet:
 
 def t_s(n: int, r: int, s: Partition) -> TreeSet:
     """t_fd + t_fc joined by a single full-(co)domain projection s."""
-    from .diagram import is_projection
-
     if not (1 <= r <= n - 2):
         raise ValueError("t_s requires 1 <= r <= n-2")
     if not (s.n == n and s.rank() == r and s.ntu() == 0 and is_projection(s)):

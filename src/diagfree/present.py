@@ -10,6 +10,7 @@ byte-for-byte reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,7 +23,7 @@ from .biorder import (
 )
 from . import ghgraph
 from .diagram import FiniteStarSemigroup
-from .green import DClassData
+from .green import DClassData, sandwich_set
 
 Word = tuple[int, ...]
 
@@ -34,11 +35,6 @@ class GroupPresentation:
 
     def gen_index(self, name: str) -> int:
         return self.generators.index(name)
-
-    def describe(self) -> str:
-        return (
-            f"<{len(self.generators)} generators | {len(self.relators)} relators>"
-        )
 
 
 def free_reduce(w: Sequence[int]) -> Word:
@@ -175,14 +171,11 @@ def _pair_presentation(
     tree_pairs = set(f_tree)
     if tree_pairs - gid.keys():
         raise ValueError("tree edge outside the friendliness relation")
-    comp = list(range(len(text)))
-    for i, j in f_tree:
-        a, b = comp[i], comp[j]
-        comp = [a if c == b else c for c in comp]
-    if len(f_tree) != len(text) - 1 or len(set(comp)) != 1:
+    size = len(text)
+    if len(f_tree) != size - 1 or len(ghgraph._forest(size, f_tree)) != size - 1:
         raise ValueError("tree does not span the projections of the D-class")
     relators: list[Word] = [(gid[pair],) for pair in sorted(tree_pairs)]
-    relators.extend((gid[(i, i)],) for i in range(len(text)))
+    relators.extend((gid[(i, i)],) for i in range(size))
     for (i, j) in pairs:
         if i < j and (j, i) in gid:
             relators.append((gid[(i, j)], gid[(j, i)]))
@@ -283,11 +276,11 @@ def emit_semigroup_presentation(h: FiniteStarSemigroup, family: str) -> Semigrou
 
     family: "ig" (basic pairs), "rig" (ig plus sandwich relations),
     "pg" (projection generators), or "pg-e" (idempotent generators with the
-    projection-product relations adjoined).
+    projection-product relations adjoined).  The size check counts at most
+    EMIT_SIZE_CAP + 1 elements, so a handle over the cap is refused before
+    its element list is built.
     """
-    from .green import sandwich_set
-
-    if h.size() > EMIT_SIZE_CAP:
+    if sum(1 for _ in itertools.islice(h._enumerate(), EMIT_SIZE_CAP + 1)) > EMIT_SIZE_CAP:
         raise ValueError("handle too large to enumerate for emission")
     E = h.idempotents()
     name_e = {e: f"x[{h.text(e)}]" for e in E}
@@ -382,7 +375,7 @@ class SimplifyResult:
         w = free_reduce(word)
         for g, value in self.record:
             if g in w or -g in w:
-                w = tuple(_substitute(w, g, value, invert_word(value)))
+                w = _substitute(w, g, value, invert_word(value))
         renum = {g: i + 1 for i, g in enumerate(self.kept)}
         return tuple(renum[x] if x > 0 else -renum[-x] for x in w)
 
@@ -480,6 +473,8 @@ def _collapse(
         before = len(record)
         kept: dict[Word, Word] = {}
         for w in words:
+            # Reduced inline, not by `free_reduce`: each letter is rewritten
+            # through `find` in the same pass, on the hot path.
             out: list[int] = []
             for x in w:
                 a = x if x > 0 else -x
@@ -545,27 +540,11 @@ def _next_move(
     return None if general is None else (general[4], general[3])
 
 
-def _substitute(w: Word, g: int, value: Word, inverse: Word) -> list[int]:
-    """w with g replaced by value and g^-1 by inverse, freely reduced in
-    the same pass."""
-    out: list[int] = []
-    for x in w:
-        if x == g:
-            seq = value
-        elif x == -g:
-            seq = inverse
-        else:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-            continue
-        for y in seq:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
-    return out
+def _substitute(w: Word, g: int, value: Word, inverse: Word) -> Word:
+    """w with g replaced by value and g^-1 by inverse, freely reduced."""
+    return free_reduce(
+        [y for x in w for y in (value if x == g else inverse if x == -g else (x,))]
+    )
 
 
 def _solve(w: Word, g: int) -> Word:

@@ -207,6 +207,25 @@ def test_sandwich_duplicate_evaluation_oracle_p4():
 
 PATH = AdjacencySemigroup("abc", [("a", "b"), ("b", "c")])
 C4 = AdjacencySemigroup("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+K3 = AdjacencySemigroup("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+
+
+@pytest.mark.parametrize("h", [C4, K3, PATH], ids=("C4", "K3", "path"))
+def test_green_relations_vs_ideals_on_adjacency_semigroups(h):
+    """r_related, l_related and d_related agree with the principal-ideal
+    oracle on every pair of elements, D being R o L: a D b iff some c has
+    c R a and c L b."""
+    elems = h.elements()
+    rid = {a: right_ideal(h, a) for a in elems}
+    lid = {a: left_ideal(h, a) for a in elems}
+    rl = {(rid[c], lid[c]) for c in elems}
+    for a in elems:
+        for b in elems:
+            assert r_related(h, a, b) == (rid[a] == rid[b])
+            assert l_related(h, a, b) == (lid[a] == lid[b])
+            assert d_related(h, a, b) == ((rid[a], lid[b]) in rl)
+
+
 PAIR_BUILT_CLASSES = [
     *((PartitionMonoid(n), r) for n in (1, 2, 3, 4) for r in range(n + 1)),
     *((BrauerMonoid(n), r) for n in (4, 5) for r in BrauerMonoid(n).ranks()),

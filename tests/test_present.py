@@ -595,6 +595,15 @@ def test_semigroup_presentation_refuses_a_handle_over_the_cap():
         emit_semigroup_presentation(h, "ig")
 
 
+def test_semigroup_presentation_refuses_before_listing_the_handle():
+    """P_7 has B_14 elements, far past the cap: the refusal counts at most
+    EMIT_SIZE_CAP + 1 of them and never builds the element list."""
+    h = PartitionMonoid(7)
+    with pytest.raises(ValueError, match="too large to enumerate"):
+        emit_semigroup_presentation(h, "ig")
+    assert h._elements is None
+
+
 def test_basic_pairs_products_idempotent():
     from diagfree.present import basic_pairs
     for e, f in basic_pairs(P2):

@@ -1,7 +1,8 @@
 """Guard against dead public API: every public module-level function or class
 of the package, every public method or property of its classes, and every
 public annotated field of its classes is used somewhere else in the package,
-or is kept for a stated reason."""
+or is kept for a stated reason.  Package imports sit at module level unless
+kept local for a stated reason."""
 
 import ast
 from collections import Counter
@@ -32,6 +33,13 @@ KEPT_METHODS = (
 # reason.
 KEPT_FIELDS = (
     "cosets_defined",  # the coset counter that `benchmarks/spans.py` and the tests read
+)
+
+
+# Package imports made inside a function body, each with its reason.
+LOCAL_IMPORTS = (
+    # `diagfree verify` alone compiles verify.py; the other commands do not.
+    ("cli.py", "cmd_verify", "verify"),
 )
 
 
@@ -135,3 +143,32 @@ def test_public_fields_are_read_or_kept():
     unused = [where for where, name in fields if name not in KEPT_FIELDS and not reads[name]]
     assert not unused, f"public fields read nowhere in the package: {unused}"
     assert set(KEPT_FIELDS) <= {name for _, name in fields}
+
+
+def _local_imports(node: ast.AST, where: str | None = None):
+    """(function, module) for each relative import inside a function body,
+    named by the innermost enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _local_imports(child, child.name)
+        elif isinstance(child, ast.ImportFrom) and child.level and where:
+            yield where, child.module
+        else:
+            yield from _local_imports(child, where)
+
+
+def test_package_imports_are_module_level_or_kept():
+    """A `from .x import` inside a function hides a module dependency in a
+    body; only the imports in LOCAL_IMPORTS may do so."""
+    found = [
+        (path.name, fn, module)
+        for path in sorted(SRC.glob("*.py"))
+        for fn, module in _local_imports(ast.parse(path.read_text()))
+    ]
+    flagged = [
+        f"{module}:{fn} imports .{imported}"
+        for module, fn, imported in found
+        if (module, fn, imported) not in LOCAL_IMPORTS
+    ]
+    assert not flagged, f"function-local package imports: {flagged}"
+    assert set(LOCAL_IMPORTS) <= set(found)
