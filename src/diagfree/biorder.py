@@ -525,15 +525,18 @@ def f_set(d: DClassData) -> list:
 
 
 def label_prime(e: Partition) -> tuple[tuple[int, int], ...]:
-    """Partial bijection pairing minima of the two halves of each transversal."""
-    pairs = []
-    for b in e.blocks():
-        tops = [p for p in b if p > 0]
-        bots = [-p for p in b if p < 0]
-        if tops and bots:
-            pairs.append((min(tops), min(bots)))
-    pairs.sort()
-    return tuple(pairs)
+    """Partial bijection pairing minima of the two halves of each transversal:
+    the first top point and the first bottom point of each label found in
+    both rows, ascending by top point as the top labels are canonical."""
+    n, labels = e.n, e.labels
+    top: dict[int, int] = {}
+    for i, x in enumerate(labels[:n], 1):
+        top.setdefault(x, i)
+    bottom: dict[int, int] = {}
+    for i, x in enumerate(labels[n:], 1):
+        if x in top:
+            bottom.setdefault(x, i)
+    return tuple((i, bottom[x]) for x, i in top.items() if x in bottom)
 
 
 def scale_down(pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
@@ -550,9 +553,10 @@ def scale_down(pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
 
 def label(e: Partition) -> tuple[int, ...]:
     """The permutation of [r] scaled down from label_prime(e); rank 0 errors."""
-    if e.rank() == 0:
+    pairs = label_prime(e)
+    if not pairs:
         raise ValueError("label is undefined for rank-0 elements")
-    return scale_down(label_prime(e))
+    return scale_down(pairs)
 
 
 def is_coxeter_idempotent(e: Partition) -> bool:

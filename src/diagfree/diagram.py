@@ -79,11 +79,18 @@ class Partition:
         return [tuple(b) for b in out]
 
     def to_text(self) -> str:
-        parts = []
-        for block in self.blocks():
-            toks = [str(p) if p > 0 else f"{-p}'" for p in block]
-            parts.append(" ".join(toks))
-        return "; ".join(parts)
+        """The blocks in first-occurrence order, read off the labels."""
+        n = self.n
+        names = _POINT_NAMES.get(n) or _POINT_NAMES.setdefault(
+            n, [*map(str, range(1, n + 1)), *(f"{i}'" for i in range(1, n + 1))]
+        )
+        parts: list[list[str]] = []
+        for name, lab in zip(names, self.labels):
+            if lab == len(parts):
+                parts.append([name])
+            else:
+                parts[lab].append(name)
+        return "; ".join(map(" ".join, parts))
 
     # -- derived data ---------------------------------------------------
 
@@ -166,6 +173,10 @@ def partition_from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> Partition:
 
 def _point_name(p: int) -> str:
     return str(p) if p > 0 else f"{-p}'"
+
+
+# degree n -> the names of its points in label order, made on first use
+_POINT_NAMES: dict[int, list[str]] = {}
 
 
 def partition_from_text(n: int, text: str) -> Partition:

@@ -7,6 +7,7 @@ handles without involution fall back to arbitrary class representatives.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import KeysView
 from dataclasses import dataclass
@@ -152,20 +153,23 @@ def friendly_products(h: FiniteStarSemigroup, P: list) -> dict[tuple[int, int], 
     and e* e = p_j, and e* = p_j p_i.  Every idempotent e is (e e*)(e* e),
     the product of a friendly pair (Nordahl and Scheiblich, Regular
     *-semigroups, 1978), so over the projections of one D-class the map is
-    a bijection onto its idempotents.  One product per ordered pair:
-    (p q)(p q)* = p q p, so p q R p iff p q p = p, and dually p q L q iff
-    q p q = q.  As p q <=_R p and p q <=_L q, in a finite semigroup both
-    hold iff p D q and p q D p, with D-classes read off `h.rank`.
+    a bijection onto its idempotents.
+
+    One θ test on projection keys per unordered pair of one D-class
+    (`h.rank`) decides both orders, and only the friendly pairs are
+    multiplied, in ascending (i, j) order.  If p D q and p q p = p, then
+    (p q)(p q)* = p q p = p, so p q R p; then q p q = (p q)*(p q) is
+    L-related to p q, hence D-related to q, and q p q <= q, so in a finite
+    semigroup q p q = q.  A projection is friendly with itself.
     """
-    prod, rank = h.product, h.rank
+    key, theta, rank = h.projection_key, h.theta, h.rank
+    K = [key(p) for p in P]
     cls = [rank(p) for p in P]
-    out = {}
-    for i, p in enumerate(P):
-        for j, q in enumerate(P):
-            x = prod(p, q)
-            if rank(x) == cls[i] == cls[j]:
-                out[(i, j)] = x
-    return out
+    friends = {(i, i) for i in range(len(P))}
+    for i, j in itertools.combinations(range(len(P)), 2):
+        if cls[i] == cls[j] and theta(K[i], K[j]) == K[i]:
+            friends |= {(i, j), (j, i)}
+    return {(i, j): h.product(P[i], P[j]) for i, j in sorted(friends)}
 
 
 def dclass_data(h: FiniteStarSemigroup, r: int | None = None) -> DClassData:

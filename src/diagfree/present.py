@@ -474,12 +474,16 @@ def _collapse(
         kept: dict[Word, Word] = {}
         for w in words:
             # Reduced inline, not by `free_reduce`: each letter is rewritten
-            # through `find` in the same pass, on the hot path.
+            # in the same pass, on the hot path.  `find` runs only for a
+            # chain: a parent that is 0 or a live generator's letter is
+            # the value as it stands.
             out: list[int] = []
             for x in w:
                 a = x if x > 0 else -x
-                if parent[a] != a:
-                    y = find(a)
+                y = parent[a]
+                if y != a:
+                    if y and parent[abs(y)] != abs(y):
+                        y = find(a)
                     if not y:
                         continue
                     x = y if x > 0 else -y

@@ -53,10 +53,10 @@ def test_traced_smoke_pass_meets_pins():
 
 def test_traced_pass_product_counts():
     """Handle products per traced pass, as `run.py --trace 1` counts them:
-    at most 1,062 on `squares_p4r2` (961 friendly-pair products for its
-    D-class and 101 for the witness pool; the square search reads its
-    tables off θ on class keys), and 225 on `triangles_p4r0`, one per
-    friendly pair of its D-class.  Coset enumeration per pass, read off the
+    366 on `squares_p4r2` (331 friendly-pair products for E_D and 35 for
+    the witness pool; friendliness and the square search's tables are read
+    off θ on class keys), and 225 on `triangles_p4r0`, one per friendly
+    pair of its D-class.  Coset enumeration per pass, read off the
     same spans and counter: two `groupid.todd_coxeter` calls defining 4
     cosets in all on `squares_p4r2`, none on `triangles_p4r0`."""
     counts, enumerations = {}, {}
@@ -71,6 +71,6 @@ def test_traced_pass_product_counts():
             sum(s[0] == "groupid.todd_coxeter" for s in tracer.spans),
             tracer.counts["groupid.cosets_defined"],
         )
-    assert counts["squares_p4r2"] <= 1062
+    assert counts["squares_p4r2"] == 366
     assert counts["triangles_p4r0"] == 225
     assert enumerations == {"squares_p4r2": (2, 4), "triangles_p4r0": (0, 0)}

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from diagfree import biorder
 from diagfree.biorder import (
     HORIZONTAL,
     LinkedDiamond,
@@ -304,15 +305,15 @@ def test_square_list_with_witnesses_pinned(monoid, n, r):
 
 
 def test_square_search_product_count():
-    """The search at (P_4, 2) makes 101 products, all for the witness pool
-    (one per ordered pair of projections of ranks 3 and 4; q p = p is
-    tested on class keys).  Its tables are read off θ on class keys, so no
-    product has a factor of rank 2 (745 when each table entry was a
-    product x u with x a corner of the class; 846 in all then, 28,986
-    without reuse, 5,220 with one memoised product per corner and scanned
-    bit, 3,158 when the pool was grouped by u u* products, 2,994 with
-    products for q p = p, 1,591 with a second product table per row, made
-    of products u x)."""
+    """The search at (P_4, 2) makes 35 products, all for the witness pool
+    (one per friendly pair of projections of ranks 3 and 4, 101 when one
+    was made per ordered pair; q p = p is tested on class keys).  Its
+    tables are read off θ on class keys, so no product has a factor of
+    rank 2 (745 when each table entry was a product x u with x a corner
+    of the class; 846 in all then, 28,986 without reuse, 5,220 with one
+    memoised product per corner and scanned bit, 3,158 when the pool was
+    grouped by u u* products, 2,994 with products for q p = p, 1,591 with
+    a second product table per row, made of products u x)."""
     h = PartitionMonoid(4)
     d = dclass_data(h, 2)
     calls = []
@@ -350,9 +351,13 @@ def test_square_search_theta_count(monkeypatch, monoid, n, r, count):
     """The θ evaluations of the square search, one per distinct (p, s)
     that its column tables ask for.  A table is filled for each bit of its
     column's need set, so a need rule that asked for more bits than the
-    ANDs can use would show here as more evaluations."""
+    ANDs can use would show here as more evaluations.  The witness index
+    is built before the count starts: its friendliness tests on the pool
+    classes are pinned by `test_friendliness_theta_count`."""
     h = monoid(n)
     d = dclass_data(h, r)
+    widx = _WitnessIndex(d)
+    monkeypatch.setattr(biorder, "_WitnessIndex", lambda _: widx)
     calls = []
     theta = h.theta
 
@@ -363,6 +368,26 @@ def test_square_search_theta_count(monkeypatch, monoid, n, r, count):
     monkeypatch.setattr(h, "theta", counted)
     enumerate_singular_squares(d)
     assert len(calls) == count
+
+
+def test_friendliness_theta_count(monkeypatch):
+    """One θ test per unordered pair of distinct projections of one class:
+    C(31, 2) = 465 for the D-class of P_4 at rank 2, and C(10, 2) = 45 for
+    its witness pool, all in the rank-3 class (rank 4 has one projection)."""
+    h = PartitionMonoid(4)
+    calls = []
+    theta = h.theta
+
+    def counted(p, s):
+        calls.append((p, s))
+        return theta(p, s)
+
+    monkeypatch.setattr(h, "theta", counted)
+    d = dclass_data(h, 2)
+    assert len(calls) == 465
+    calls.clear()
+    _WitnessIndex(d)
+    assert len(calls) == 45
 
 
 PATH = AdjacencySemigroup("abc", [("a", "b"), ("b", "c")])
@@ -645,6 +670,26 @@ def test_label_star_inverse_exhaustive_e42():
         assert label(involution(e)) == perm_inv(label(e))
         comp = [label(e)[perm_inv(label(e))[i]] for i in range(2)]
         assert comp == [0, 1]
+
+
+def blocks_label_prime(e):
+    """label_prime by its definition: the minima of the two halves of each
+    transversal block, sorted."""
+    pairs = []
+    for b in e.blocks():
+        tops = [p for p in b if p > 0]
+        bots = [-p for p in b if p < 0]
+        if tops and bots:
+            pairs.append((min(tops), min(bots)))
+    return tuple(sorted(pairs))
+
+
+@pytest.mark.parametrize("h", [P4, BrauerMonoid(4)], ids=["P4", "B4"])
+def test_label_prime_matches_block_definition(h):
+    elements = [e for e in h.elements() if e.rank() >= 1]
+    assert elements
+    for e in elements:
+        assert label_prime(e) == blocks_label_prime(e)
 
 
 def test_label_rank0_error():

@@ -75,6 +75,20 @@ def test_text_round_trip():
         assert partition_from_text(3, a.to_text()) == a
 
 
+def blocks_text(a):
+    """The text form by its definition: the blocks in first-occurrence
+    order, points k and k' separated by spaces, blocks by semicolons."""
+    return "; ".join(
+        " ".join(str(p) if p > 0 else f"{-p}'" for p in block) for block in a.blocks()
+    )
+
+
+@pytest.mark.parametrize("h", [PartitionMonoid(4), BrauerMonoid(4)], ids=["P4", "B4"])
+def test_text_matches_block_definition(h):
+    for a in h.elements():
+        assert a.to_text() == blocks_text(a)
+
+
 def test_degree_mismatch():
     with pytest.raises(DegreeError):
         multiply(identity(2), identity(3))

@@ -293,15 +293,35 @@ def two_product_friendly(h, P):
     ids=lambda x: {id(PATH): "path", id(C4): "C4"}.get(id(x)) or getattr(x, "describe", x.__repr__)(),
 )
 def test_friendly_products_match_two_product_definition(h, r):
-    """One product and a class test per ordered pair give the friendly
-    pairs of the definition, on each class and on the adjacency witness
-    pool, which mixes the zero class with the non-zero class."""
+    """One θ test per unordered pair of one class, and one product per
+    friendly pair, give the friendly pairs of the definition, on each class
+    and on the adjacency witness pool, which mixes the zero class with the
+    non-zero class."""
     P = h.projections() if r == "pool" else dclass_data(h, r).projections
     got = friendly_products(h, P)
     assert got == two_product_friendly(h, P)
     assert list(got) == sorted(got)
     if r == "pool":
         assert got[(0, 0)] == ADJ_ZERO and all(0 not in pair for pair in list(got)[1:])
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_friendly_products_one_product_per_friendly_pair(r):
+    """`friendly_products` multiplies the friendly pairs of P_4's class of
+    rank r, each once, in ascending (i, j) order, and nothing else."""
+    h = PartitionMonoid(4)
+    P = dclass_data(h, r).projections
+    calls = []
+    product = h.product
+
+    def counted(x, y):
+        calls.append((x, y))
+        return product(x, y)
+
+    h.product = counted
+    got = friendly_products(h, P)
+    assert calls == [(P[i], P[j]) for i, j in got]
+    assert list(got) == sorted(got)
 
 
 def test_pipeline_never_filters_all_idempotents():
@@ -339,11 +359,12 @@ def test_pipeline_never_filters_all_idempotents():
 
 
 def test_dclass_product_count():
-    """dclass_data at (P_4, 2) makes |P_D|^2 = 961 products, one per
-    ordered pair of projections, and nothing else: the friendly-pair
+    """dclass_data at (P_4, 2) makes at most |P_D|^2 = 961 products, one
+    per ordered pair of projections, and nothing else: the friendly-pair
     invariants are checked in the tests, not on each build (1,292 with an
     e e = e check over E_D, 2,253 with two products per pair, 6,724 with
-    an x x = x test over all of P_4)."""
+    an x x = x test over all of P_4).  It makes 331, one per friendly
+    pair (`test_friendly_products_one_product_per_friendly_pair`)."""
     h = PartitionMonoid(4)
     calls = 0
     product = h.product
