@@ -82,7 +82,7 @@ class Partition:
         """The blocks in first-occurrence order, read off the labels."""
         n = self.n
         names = _POINT_NAMES.get(n) or _POINT_NAMES.setdefault(
-            n, [*map(str, range(1, n + 1)), *(f"{i}'" for i in range(1, n + 1))]
+            n, [_point_name(p) for p in (*range(1, n + 1), *range(-1, -n - 1, -1))]
         )
         parts: list[list[str]] = []
         for name, lab in zip(names, self.labels):
