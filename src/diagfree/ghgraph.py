@@ -4,23 +4,25 @@ The graph of a D-class is bipartite on the R-class indices I and L-class
 indices J (two copies of the projection list for star handles); its edges
 are the idempotents of the class.  Tree constructors return TreeSet values
 whose edges are monoid elements; `verify_spanning_tree` certifies spanning
-either of the full graph or of a stated induced subgraph.
+either of the full graph or of a stated induced subgraph.  Each edge of a
+named P_n tree is the product p q of a friendly pair: p indexes its row
+and q its column.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .diagram import (
     Partition,
     PartitionMonoid,
+    full_domain_projection,
     involution,
     is_projection,
-    partition_from_blocks,
+    multiply,
     partition_projections,
-    transformation_partition,
 )
 from .green import DClassData
 
@@ -168,25 +170,11 @@ def verify_spanning_tree(g: GHGraph, t: TreeSet) -> bool:
 # -- named trees for the partition monoid -------------------------------------
 
 
-def idempotent_transformation(n: int, blocks: Sequence[Sequence[int]], image: Sequence[int]) -> Partition:
-    """e_{V,C}: maps each block V_i to its chosen cross-section point c_i."""
-    images = [0] * n
-    for block, c in zip(blocks, image):
-        for x in block:
-            images[x - 1] = c
-    return transformation_partition(n, images)
-
-
-def _lex_v_of(c: Sequence[int], n: int) -> list[list[int]]:
-    c = sorted(c)
-    blocks = []
-    lo = 1
-    for ci in c[:-1]:
-        # blocks [1,c1], (c1,c2], ..., (c_{r-1}, n]
-        blocks.append(list(range(lo, ci + 1)))
-        lo = ci + 1
-    blocks.append(list(range(lo, n + 1)))
-    return blocks
+def _lex_kernel(c: frozenset[int], n: int) -> frozenset[frozenset[int]]:
+    """The least partition of [n] that c = {c_1 < ... < c_r} crosses:
+    [1, c_1], (c_1, c_2], ..., (c_{r-1}, n]."""
+    cuts = [0, *sorted(c)[:-1], n]
+    return frozenset(frozenset(range(a + 1, b + 1)) for a, b in zip(cuts, cuts[1:]))
 
 
 def _tree(
@@ -199,52 +187,30 @@ def _tree(
 def t_lex(n: int, r: int) -> TreeSet:
     """Spanning tree of the transformation part of the rank-r class.
 
-    For every kernel V (of a projection in P_0(n, r)) the edge onto the
-    lexicographically least cross-section, and for every image set C (the
-    domain of a projection in P_{n-r}(n, r)) the edge from the least
-    partition it crosses; the base idempotent is listed by both.
+    Each projection p of P_0(n, r), with kernel V, times the projection of
+    P_{n-r}(n, r) whose domain is the set of minima of V's classes: the map
+    of each class onto its least point.  Each projection q of P_{n-r}(n, r),
+    with domain C, after the projection of P_0(n, r) whose kernel is the
+    least partition C crosses.  The base idempotent is listed by both.
     """
     if not (1 <= r <= n - 2):
         raise ValueError("t_lex requires 1 <= r <= n-2")
-    edges = set()
-    for p in _projections_by_stratum(n, r, 0):
-        blocks = sorted(sorted(b) for b in p.ker())
-        edges.add(idempotent_transformation(n, blocks, [b[0] for b in blocks]))
-    for p in _projections_by_stratum(n, r, n - r):
-        c = sorted(p.dom())
-        edges.add(idempotent_transformation(n, _lex_v_of(c, n), c))
+    by_ker = {p.ker(): p for p in _projections_by_stratum(n, r, 0)}
+    by_dom = {q.dom(): q for q in _projections_by_stratum(n, r, n - r)}
+    edges = {multiply(p, by_dom[frozenset(map(min, v))]) for v, p in by_ker.items()}
+    edges.update(multiply(by_ker[_lex_kernel(c, n)], q) for c, q in by_dom.items())
     return _tree("T_lex", edges, ({0}, {n - r}))
 
 
-def _projection_parts(p: Partition) -> tuple[list[list[int]], list[list[int]]]:
-    trans, upper = [], []
-    for b in p.blocks():
-        tops = sorted(x for x in b if x > 0)
-        bots = sorted(-x for x in b if x < 0)
-        if tops and bots:
-            trans.append(tops)
-        elif tops:
-            upper.append(tops)
-    return trans, upper
-
-
 def e_p_edge(p: Partition) -> Partition:
-    """Full-domain idempotent attached to a projection with >= 1 upper block:
-    the non-transversal classes are absorbed into the transversal class with
-    the least minimum, and reappear below as non-transversals."""
-    trans, upper = _projection_parts(p)
-    assert upper, "projection must have at least one upper block"
-    trans.sort(key=min)
-    a1 = trans[0]
-    blocks: list[list[int]] = []
-    blocks.append(
-        sorted(a1 + [x for b in upper for x in b]) + [-x for x in a1]
-    )
-    for a in trans[1:]:
-        blocks.append(sorted(a) + [-x for x in a])
-    for b in upper:
-        blocks.append([-x for x in b])
-    return partition_from_blocks(p.n, blocks)
+    """Full-domain idempotent q p attached to a projection p with an upper
+    block, where q is the full-domain projection whose kernel merges p's
+    upper blocks into p's transversal class with the least minimum: that
+    class takes in the upper blocks, which reappear below as lower blocks."""
+    dom = p.dom()
+    kept = [c for c in p.ker() if c <= dom and min(dom) not in c]
+    merged = set(range(1, p.n + 1)).difference(*kept)
+    return multiply(full_domain_projection(p.n, [merged, *kept]), p)
 
 
 def _projections_by_stratum(n: int, r: int, k: int) -> list[Partition]:
@@ -297,17 +263,13 @@ def t_pg(n: int, r: int) -> TreeSet:
 
 def t_rank0(n: int) -> TreeSet:
     """All rank-0 idempotents with a single upper or a single lower block:
-    one of each per set partition of [n], the kernel of a rank-0
-    projection."""
+    p q_1 and q_1 p for each rank-0 projection p, where q_1 is the one
+    whose kernel has a single class."""
     if n < 2:
         raise ValueError("t_rank0 requires n >= 2")
-    edges = set()
-    for p in _rank_projections(n, 0):
-        part = list(p.ker())
-        lower = [[-x for x in b] for b in part]
-        edges.add(partition_from_blocks(n, [sum(lower, [])] + part))
-        edges.add(partition_from_blocks(n, [list(range(1, n + 1))] + lower))
-    return _tree("T_rank0", edges)
+    (q1,) = _projections_by_stratum(n, 0, 1)
+    ps = _rank_projections(n, 0)
+    return _tree("T_rank0", {multiply(p, q1) for p in ps} | {multiply(q1, p) for p in ps})
 
 
 def p0_projections(n: int, r: int) -> list[Partition]:

@@ -48,6 +48,7 @@ from diagfree.diagram import (
     involution,
     multiply,
     partition_from_blocks,
+    transformation_partition,
 )
 from diagfree.ghgraph import friendliness_tree
 from diagfree.green import dclass_data, l_related, r_related
@@ -325,7 +326,7 @@ def test_square_search_product_count():
 
     h.product = counted
     assert len(enumerate_singular_squares(d)) == 1656
-    assert len(calls) <= 101
+    assert len(calls) == 35
     assert all(x.rank() > 2 and y.rank() > 2 for x, y in calls)
 
 
@@ -709,13 +710,12 @@ def test_label_consecutive_stability():
 
 
 def test_coxeter_idempotent():
-    # a transformation with label (1 2)
-    from diagfree.ghgraph import idempotent_transformation
-
-    e = idempotent_transformation(4, [[1, 4], [2, 3]], [4, 2])
+    # the idempotent maps with kernel {1, 4}, {2, 3}: onto 4, 2 (label
+    # (1 2)) and onto 1, 2 (trivial label)
+    e = transformation_partition(4, [4, 2, 2, 4])
     assert label(e) == (1, 0)
     assert is_coxeter_idempotent(e)
-    ident = idempotent_transformation(4, [[1, 4], [2, 3]], [1, 2])
+    ident = transformation_partition(4, [1, 2, 2, 1])
     assert not is_coxeter_idempotent(ident)
 
 

@@ -1,5 +1,6 @@
 """Graham-Houghton graphs, the named spanning trees, and exports."""
 
+import hashlib
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from diagfree.diagram import (
     PartitionMonoid,
     TransformationMonoid,
     partition_from_blocks,
+    partition_projections,
     transformation_partition,
 )
 from diagfree.green import dclass_data
@@ -19,7 +21,6 @@ from diagfree.ghgraph import (
     e_p_edge,
     friendliness_tree,
     gh_to_dot,
-    idempotent_transformation,
     is_connected,
     p0_projections,
     p1_projections,
@@ -103,6 +104,15 @@ def test_lex_cross_section_example():
     assert [min(b) for b in blocks] == [1, 3]
 
 
+def idempotent_transformation(n, blocks, image):
+    """e_{V,C}: maps each block V_i to its chosen cross-section point c_i."""
+    images = [0] * n
+    for block, c in zip(blocks, image):
+        for x in block:
+            images[x - 1] = c
+    return transformation_partition(n, images)
+
+
 def test_t_lex_42_is_figure_tree():
     t = t_lex(4, 2)
     red = {
@@ -162,6 +172,34 @@ def test_e_p_edge_example():
     from diagfree.biorder import label
 
     assert label(e) == (0, 1)
+
+
+def _e_p_edge_blocks(p):
+    """The full-domain idempotent of a projection with an upper block, made
+    block by block: the upper blocks join the transversal class with the
+    least minimum, and reappear below as lower blocks."""
+    trans, upper = [], []
+    for b in p.blocks():
+        tops = sorted(x for x in b if x > 0)
+        if tops:
+            (trans if min(b) < 0 else upper).append(tops)
+    a1, *rest = sorted(trans, key=min)
+    blocks = [a1 + [x for b in upper for x in b] + [-x for x in a1]]
+    blocks += [a + [-x for x in a] for a in rest]
+    blocks += [[-x for x in b] for b in upper]
+    return partition_from_blocks(p.n, blocks)
+
+
+def test_e_p_edge_matches_the_block_construction():
+    """e_p_edge(p) = q p equals the block construction on every projection
+    of rank >= 1 with an upper non-transversal block, n <= 5: one per set
+    partition of [n] into k blocks and proper non-empty subset of them
+    made transversal."""
+    for n in range(2, 6):
+        ps = [p for p in partition_projections(n) if p.rank() >= 1 and p.ntu() >= 1]
+        assert len(ps) == sum(_stirling2(n, k) * (2**k - 2) for k in range(n + 1))
+        for p in ps:
+            assert e_p_edge(p) == _e_p_edge_blocks(p), p
 
 
 def test_t_fd_labels_are_trivial():
@@ -324,6 +362,31 @@ def test_lex_and_rank0_trees_match_an_independent_enumeration(n):
         want.add(partition_from_blocks(n, [[-x for x in points], *blocks]))
         want.add(partition_from_blocks(n, [points, *([-x for x in b] for b in blocks)]))
     assert set(t_rank0(n).edges) == want
+
+
+# sha256 of the named P_n trees' edge labels at each degree n: T_rank0, then
+# T_lex, T_fd, T_fc, T_s (over the first P_0 projection) and T_pg at each
+# 1 <= r <= n-2, pinned on the block-by-block constructions the products
+# replaced.
+TREE_DIGESTS = {
+    3: "de001d17ce37a99064ed46c71b78eb8d6c94f8b093767ea0582c1dbd6507a9a7",
+    4: "778a8489ba356a5939b813d394959f498dd0a15b0e44f8f5665dd544ecc5a663",
+    5: "a9ca7babacb54a0f012a6db57191d051c4c691608eea21b38764833be32c9ad3",
+    6: "9e3604e0f903161df52abc132f47b126a847a489359bc2fa1be6ee9559721fbb",
+    7: "a4210ed647d9536f0cc3a8fb0dcfd0af48d060679a4c9ad41148b004937542f0",
+}
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)))
+def test_named_trees_are_pinned(n):
+    trees = [t_rank0(n)]
+    for r in range(1, n - 1):
+        s = p0_projections(n, r)[0]
+        trees += [t_lex(n, r), t_fd(n, r), t_fc(n, r), t_s(n, r, s), t_pg(n, r)]
+    digest = hashlib.sha256()
+    for t in trees:
+        digest.update(f"{t.kind} {[e.labels for e in t.edges]}\n".encode())
+    assert digest.hexdigest() == TREE_DIGESTS[n]
 
 
 def test_dot_export():

@@ -359,12 +359,12 @@ def test_pipeline_never_filters_all_idempotents():
 
 
 def test_dclass_product_count():
-    """dclass_data at (P_4, 2) makes at most |P_D|^2 = 961 products, one
-    per ordered pair of projections, and nothing else: the friendly-pair
-    invariants are checked in the tests, not on each build (1,292 with an
-    e e = e check over E_D, 2,253 with two products per pair, 6,724 with
-    an x x = x test over all of P_4).  It makes 331, one per friendly
-    pair (`test_friendly_products_one_product_per_friendly_pair`)."""
+    """dclass_data at (P_4, 2) makes 331 products, one per friendly pair
+    (`test_friendly_products_one_product_per_friendly_pair`), and nothing
+    else: the friendly-pair invariants are checked in the tests, not on
+    each build (961 with one product per ordered pair of projections,
+    1,292 with an e e = e check over E_D, 2,253 with two products per
+    pair, 6,724 with an x x = x test over all of P_4)."""
     h = PartitionMonoid(4)
     calls = 0
     product = h.product
@@ -376,7 +376,7 @@ def test_dclass_product_count():
 
     h.product = counted
     assert len(dclass_data(h, 2).idempotents) == 331
-    assert calls <= 961
+    assert calls == 331
 
 
 COUNTED_HANDLES = [

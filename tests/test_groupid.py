@@ -373,21 +373,26 @@ def test_verdict_json():
             "pg": "S_4 (order 24, certified)",
             "ig": "consistent with Z x S_4 (finite part order 24, certification: partial)",
         }),
+        (7, 6, {"pg": "free of rank 15", "ig": "free of rank 57"}),
         pytest.param(5, 2, {
             "pg": "S_2 (order 2, certified)",
             "ig": "consistent with Z x S_2 (finite part order 2, certification: partial)",
         }, marks=pytest.mark.slow),
         pytest.param(5, 0, {"ig": "Z (free rank 1)"}, marks=pytest.mark.slow),
+        pytest.param(7, 5, {
+            "pg": "S_5 (order 120, certified)",
+            "ig": "consistent with Z x S_5 (finite part order 120, certification: partial)",
+        }, marks=pytest.mark.slow),
     ],
-    ids=["P5r4", "P5r3", "P5r0-triangles", "P6r5", "P6r4", "P5r2", "P5r0"],
+    ids=["P5r4", "P5r3", "P5r0-triangles", "P6r5", "P6r4", "P7r6", "P5r2", "P5r0", "P7r5"],
 )
 def test_identify_degrees_5_and_6(n, r, want):
-    """identify's verdicts at degrees 5 and 6 on each family's presentation,
-    with its default tree and hints: at rank n-1 PG is free of rank
-    C(n-1, 2) and IG free of rank (n-1)(3n-2)/2; at 1 <= r <= n-2 PG is
-    S_r and IG consistent with Z x S_r; at rank 0 PG, through linked
-    triangles, is trivial and IG is Z.  ig and pg share one square
-    search."""
+    """identify's verdicts at degrees 5, 6 and 7 on each family's
+    presentation, with its default tree and hints: at rank n-1 PG is free
+    of rank C(n-1, 2) and IG free of rank (n-1)(3n-2)/2; at 1 <= r <= n-2
+    PG is S_r and IG consistent with Z x S_r; at rank 0 PG, through linked
+    triangles, is trivial and IG is Z.  ig and pg share one square search.
+    (7, 5) is the first r = 5 and the first 120-coset enumeration."""
     from diagfree.biorder import enumerate_singular_squares
     from diagfree.diagram import PartitionMonoid
     from diagfree.green import dclass_data
