@@ -19,7 +19,7 @@ from .diagram import (
     multiply,
     partition_from_blocks,
 )
-from .green import DClassData, friendly_products
+from .green import DClassData, dclass_data
 
 ORIENTATIONS = ("LR", "RL", "UD", "DU")
 HORIZONTAL = ("LR", "RL")
@@ -155,9 +155,9 @@ class _WitnessIndex:
     """Left/right identity sets over E(S), keyed by the projections of a
     D-class: u x = x iff u (x x*) = x x*, and dually.
 
-    The pool is E_D plus the idempotents of each class of higher rank
-    (all of E(S) for a class without a rank), all read off friendly
-    projection pairs: u = p q, with u u* = p and u* = q p.  The
+    The pool is E_D plus the idempotents of each class of higher rank,
+    each class built by `dclass_data`, so every element is a friendly
+    projection pair product: u = p q, with u u* = p and u* = q p.  The
     sets are int bitsets in which bit b stands for pool[b], and the pool is
     in scan order.  For an idempotent u, u p = p holds iff p lies in u S^1,
     which depends only on the R-class of u; in a regular *-semigroup that
@@ -173,17 +173,11 @@ class _WitnessIndex:
         h = d.handle
         key, leq = h.projection_key, h.projection_leq
         self.keys = [key(p) for p in d.projections]
-        if d.rank is None:
-            classes, triples = [h.projections()], []
-        else:
-            by_rank: dict[int, list] = {}
-            for q in h.projections():
-                if (r := h.rank(q)) > d.rank:
-                    by_rank.setdefault(r, []).append(q)
-            classes = by_rank.values()
-            triples = _pair_triples(self.keys, d.e_of_pair)
-        for P in classes:
-            triples += _pair_triples([key(q) for q in P], friendly_products(h, P))
+        triples = _pair_triples(self.keys, d.e_of_pair)
+        for r in sorted({h.rank(q) for q in h.projections()}):
+            if r > d.rank:
+                c = dclass_data(h, r)
+                triples += _pair_triples([key(q) for q in c.projections], c.e_of_pair)
         triples.sort(key=lambda t: (_nt_of(h, t[0]), h.sort_key(t[0])))
         self.pool = [u for u, _, _, _ in triples]
         bit = {u: 1 << b for b, u in enumerate(self.pool)}
@@ -510,7 +504,7 @@ def ehresmann_square(e: Partition, f: Partition) -> tuple[Square, Partition]:
 
 def f_set(d: DClassData) -> list:
     """Full-domain or full-codomain idempotents plus P_1, for rank >= 1."""
-    assert d.rank is not None and d.rank >= 1
+    assert d.rank >= 1
     out = [
         e
         for e in d.idempotents

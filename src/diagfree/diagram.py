@@ -489,9 +489,9 @@ class FiniteStarSemigroup:
     def sort_key(self, x):
         return x
 
-    def rank(self, x) -> int | None:
+    def rank(self, x) -> int:
         """The D-class of x, as `green.dclass_data` indexes it."""
-        return None
+        raise NotImplementedError
 
     # shared helpers
     def elements(self) -> list:
@@ -791,9 +791,9 @@ class AdjacencySemigroup(FiniteStarSemigroup):
     def sort_key(self, x):
         return (0,) if x == ADJ_ZERO else (1, x)
 
-    def rank(self, x) -> int | None:
-        """0 for the zero; None for the one non-zero D-class."""
-        return 0 if x == ADJ_ZERO else None
+    def rank(self, x) -> int:
+        """0 for the zero, 1 for the one non-zero D-class."""
+        return 0 if x == ADJ_ZERO else 1
 
     def describe(self) -> str:
         return f"A(graph on {len(self.vertices)} vertices)"

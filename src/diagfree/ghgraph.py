@@ -290,17 +290,14 @@ def named_tree(d: DClassData, kind: str = "auto") -> TreeSet:
     """The tree `kind` of d's Graham-Houghton graph: bfs, s (T_s over the
     first P_0 projection), pg (contains P_D: T_pg at 1 <= r <= n-2, else
     the projection tree), rank0, the induced lex, fd and fc, or auto:
-    T_rank0 at rank 0 (bfs on P_1), T_s at 1 <= r <= n-2, bfs above,
-    and the projection tree for a class without a rank.  T_s, T_pg,
-    T_rank0, lex, fd and fc are built only for P_n: on another handle with
-    a rank, auto is bfs, pg the projection tree, and the others are
+    T_rank0 at rank 0 (bfs on P_1), T_s at 1 <= r <= n-2, bfs above.
+    T_s, T_pg, T_rank0, lex, fd and fc are built only for P_n: on every
+    other handle auto is bfs, pg the projection tree, and the others are
     refused; so are s and rank0 at ranks they do not span."""
     n, r = getattr(d.handle, "n", None), d.rank
     pn = isinstance(d.handle, PartitionMonoid)
     if kind == "auto":
-        if r is None:
-            kind = "pg"
-        elif not pn or n < 2:
+        if not pn or n < 2:
             kind = "bfs"
         elif r == 0:
             kind = "rank0"

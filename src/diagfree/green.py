@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
-from .diagram import AdjacencySemigroup, FiniteStarSemigroup, PartitionHandleBase
+from .diagram import FiniteStarSemigroup, PartitionHandleBase
 
 
 class EmptyClassError(ValueError):
@@ -68,26 +68,25 @@ class DClassData:
     idempotent p_i p_j in it, in canonical order of E_D.  Every other fact
     is read off these on first use: `friendly` (a view of the pairs),
     `idempotents`, `size`, `strata`, the projection index, and `row_cols`,
-    the ascending columns of each row.  The zero D-class of an adjacency
-    semigroup is excluded: only the unique non-zero class is built.
+    the ascending columns of each row.  `rank` is the class's `h.rank`: on
+    an adjacency semigroup 0 for the zero and 1 for the non-zero class.
 
-    `size` is |D| = |rows| |cols| |H|, read off the indices: the R- and
+    `size` is |D| = |rows| |cols| r!, read off the indices: the R- and
     L-classes of D index its H-classes, which all have the order of a group
     H-class.  That order is r! in P_n, B_n and T_n (the group H-class of a
-    rank-r projection or idempotent is S_r) and 1 in an adjacency class,
-    whose non-zero elements are pairwise H-inequivalent.
+    rank-r projection or idempotent is S_r) and 1 = 0! = 1! in an adjacency
+    class, whose elements are pairwise H-inequivalent.
     """
 
     handle: FiniteStarSemigroup
-    rank: int | None
+    rank: int
     projections: list          # P_D (star handles); R-class reps otherwise
     lreps: list                # == projections for star handles
     e_of_pair: dict[tuple[int, int], Any]  # in canonical order of E_D
 
     @property
     def size(self) -> int:
-        group = 1 if self.rank is None else math.factorial(self.rank)
-        return len(self.projections) * len(self.lreps) * group
+        return len(self.projections) * len(self.lreps) * math.factorial(self.rank)
 
     @cached_property
     def idempotents(self) -> list:
@@ -101,9 +100,9 @@ class DClassData:
 
     @cached_property
     def strata(self) -> dict[tuple[int, int], list]:
-        """E_D grouped by (NTu, NTd); empty for a class without a rank."""
+        """E_D grouped by (NTu, NTd); empty unless the elements are partitions."""
         out: dict[tuple[int, int], list] = {}
-        if self.rank is not None:
+        if isinstance(self.handle, PartitionHandleBase):
             for e in self.idempotents:
                 out.setdefault((e.ntu(), e.ntd()), []).append(e)
         return out
@@ -146,8 +145,8 @@ class DClassData:
 
 
 def friendly_products(h: FiniteStarSemigroup, P: list) -> dict[tuple[int, int], Any]:
-    """p_i p_j for each friendly pair (i, j) of the projections P:
-    p_i p_j p_i = p_i and p_j p_i p_j = p_j.
+    """p_i p_j for each friendly pair (i, j) of the projections P of one
+    D-class: p_i p_j p_i = p_i and p_j p_i p_j = p_j.
 
     In a regular *-semigroup such a product e is idempotent, with e e* = p_i
     and e* e = p_j, and e* = p_j p_i.  Every idempotent e is (e e*)(e* e),
@@ -155,26 +154,26 @@ def friendly_products(h: FiniteStarSemigroup, P: list) -> dict[tuple[int, int], 
     *-semigroups, 1978), so over the projections of one D-class the map is
     a bijection onto its idempotents.
 
-    One θ test on projection keys per unordered pair of one D-class
-    (`h.rank`) decides both orders, and only the friendly pairs are
-    multiplied, in ascending (i, j) order.  If p D q and p q p = p, then
+    One θ test on projection keys per unordered pair decides both orders,
+    and only the friendly pairs are multiplied, in ascending (i, j) order.
+    The precondition, that P lies in one D-class, makes one test enough
+    (every caller passes one class's P_D): if p D q and p q p = p, then
     (p q)(p q)* = p q p = p, so p q R p; then q p q = (p q)*(p q) is
     L-related to p q, hence D-related to q, and q p q <= q, so in a finite
     semigroup q p q = q.  A projection is friendly with itself.
     """
-    key, theta, rank = h.projection_key, h.theta, h.rank
+    key, theta = h.projection_key, h.theta
     K = [key(p) for p in P]
-    cls = [rank(p) for p in P]
     friends = {(i, i) for i in range(len(P))}
     for i, j in itertools.combinations(range(len(P)), 2):
-        if cls[i] == cls[j] and theta(K[i], K[j]) == K[i]:
+        if theta(K[i], K[j]) == K[i]:
             friends |= {(i, j), (j, i)}
     return {(i, j): h.product(P[i], P[j]) for i, j in sorted(friends)}
 
 
-def dclass_data(h: FiniteStarSemigroup, r: int | None = None) -> DClassData:
-    """Assemble the D-class of rank r, or the unique non-zero class of an
-    adjacency semigroup (rank None, no strata).
+def dclass_data(h: FiniteStarSemigroup, r: int) -> DClassData:
+    """Assemble the D-class of rank r, the class whose elements x have
+    h.rank(x) == r; a rank that names no class raises `EmptyClassError`.
 
     For a star handle P_D is the class's part of `h.projections()` and
     E_D the products of its friendly pairs (`friendly_products`), so no
@@ -192,10 +191,6 @@ def dclass_data(h: FiniteStarSemigroup, r: int | None = None) -> DClassData:
     strata partition E_D follow from the Nordahl-Scheiblich bijection (see
     `friendly_products`), and the tests check them against the x x = x
     filter over the whole monoid."""
-    if isinstance(h, AdjacencySemigroup):
-        r = None
-    elif r is None:
-        raise EmptyClassError("a rank is required for partition-like handles")
     if h.has_star:
         projections = [p for p in h.projections() if h.rank(p) == r]
         lreps = projections

@@ -333,7 +333,7 @@ def criterion_13() -> CriterionResult:
     ok = True
     for (name, (vs, es)), want in zip(graphs.items(), expected):
         g = AdjacencySemigroup(vs, es)
-        v = identify(subgroup_presentation(dclass_data(g), "pg"))
+        v = identify(subgroup_presentation(dclass_data(g, 1), "pg"))
         want_rank = g.simple_edge_count() - len(g.vertices) + 1
         good = (
             want == want_rank

@@ -146,7 +146,7 @@ def pool_oracle_entries(d):
         (P3, 0, 48),
         (P3, 1, 240),
         *((BrauerMonoid(4), r, 0) for r in BrauerMonoid(4).ranks()),
-        (C4, None, 0),
+        (C4, 1, 0),
     ],
     ids=["P3r0", "P3r1", "B4r0", "B4r2", "B4r4", "C4"],
 )
@@ -167,7 +167,7 @@ def test_square_entries_match_pool_oracle(h, r, count):
     [
         *((PartitionMonoid(n), r) for n in (2, 3, 4) for r in range(n + 1)),
         *((BrauerMonoid(n), r) for n in (4, 5) for r in BrauerMonoid(n).ranks()),
-        (C4, None),
+        (C4, 1),
     ],
     ids=lambda x: "C4" if x is C4 else getattr(x, "describe", x.__repr__)(),
 )
@@ -186,7 +186,7 @@ def test_adjacency_no_nondegenerate_singular_squares():
     from diagfree.diagram import AdjacencySemigroup
 
     g = AdjacencySemigroup("abc", [("a", "b"), ("b", "c"), ("a", "c")])
-    d = dclass_data(g)
+    d = dclass_data(g, 1)
     assert enumerate_singular_squares(d) == []
     dias = enumerate_linked_diamonds(d)
     assert all(x.degenerate for x in dias)
@@ -197,7 +197,7 @@ def test_adjacency_no_nondegenerate_singular_squares():
     [
         (P3, 1),
         (P4, 2),
-        (AdjacencySemigroup("abc", [("a", "b"), ("b", "c")]), None),
+        (AdjacencySemigroup("abc", [("a", "b"), ("b", "c")]), 1),
         (P4, 1),
         (BrauerMonoid(5), 1),
     ],
@@ -224,7 +224,7 @@ def test_witness_index_bits(h, r):
     [
         (P4, 2, True),
         (BrauerMonoid(5), 1, True),
-        (AdjacencySemigroup("abc", [("a", "b"), ("b", "c")]), None, False),
+        (AdjacencySemigroup("abc", [("a", "b"), ("b", "c")]), 1, False),
     ],
     ids=["P4r2", "B5r1", "adjacency"],
 )
@@ -400,9 +400,9 @@ LINKED_FACT_CLASSES = {
         for n in (2, 3, 4, 5)
         for r in BrauerMonoid(n).ranks()
     },
-    "path": (PATH, None),
-    "C4": (C4, None),
-    "K3": (K3, None),
+    "path": (PATH, 1),
+    "C4": (C4, 1),
+    "K3": (K3, 1),
 }
 
 
@@ -432,7 +432,7 @@ def test_linked_scans_need_one_friendliness_test(h, r):
 
 @pytest.mark.parametrize(
     "h, r",
-    [(P3, 0), (P3, 1), (P4, 0), (BrauerMonoid(4), 0), (C4, None)],
+    [(P3, 0), (P3, 1), (P4, 0), (BrauerMonoid(4), 0), (C4, 1)],
     ids=["P3r0", "P3r1", "P4r0", "B4r0", "C4"],
 )
 def test_linked_scans_match_definition_oracle(h, r):
@@ -462,9 +462,7 @@ def reference_witness_index(d):
     """The pool, lid and rid as built from the whole-monoid filter
     h.idempotents(), grouping the pool by the products u u*."""
     h = d.handle
-    pool = h.idempotents()
-    if d.rank is not None:
-        pool = [u for u in pool if u.rank() >= d.rank]
+    pool = [u for u in h.idempotents() if h.rank(u) >= d.rank]
     pool = sorted(pool, key=lambda u: (_nt_of(h, u), h.sort_key(u)))
     bit = {u: 1 << b for b, u in enumerate(pool)}
     groups = {}
@@ -490,7 +488,7 @@ def reference_witness_index(d):
         (P4, 1),
         (P4, 2),
         (BrauerMonoid(5), 1),
-        (AdjacencySemigroup("abc", [("a", "b"), ("b", "c")]), None),
+        (AdjacencySemigroup("abc", [("a", "b"), ("b", "c")]), 1),
         pytest.param(PartitionMonoid(5), 2, marks=pytest.mark.slow),
         pytest.param(PartitionMonoid(5), 3, marks=pytest.mark.slow),
     ],

@@ -199,19 +199,20 @@ def test_graph_draws_induced_trees(kind, capsys):
 
 
 def test_adjacency_from_file(tmp_path, capsys):
-    code, out = run(
-        capsys, "identify", "--monoid", "adjacency", "--graph", c4_graph(tmp_path),
-        "--family", "pg", "--rank", "0",
-    )
-    assert code == 0
-    assert "Z (free rank 1)" in out
+    """Rank 1 is the non-zero class of the 4-cycle's adjacency semigroup,
+    and rank 0 the zero class."""
+    argv = ["identify", "--monoid", "adjacency", "--graph", c4_graph(tmp_path), "--family", "pg"]
+    code, out = run(capsys, *argv, "--rank", "1")
+    assert code == 0 and out.startswith("Z (free rank 1)\n")
+    code, out = run(capsys, *argv, "--rank", "0")
+    assert code == 0 and out.startswith("trivial\n")
 
 
 @pytest.mark.parametrize("kind", ("bfs", "pg", "auto"))
 def test_adjacency_degree_free_trees(kind, tmp_path, capsys):
     code, out = run(
         capsys, "graph", "--monoid", "adjacency", "--graph", c4_graph(tmp_path),
-        "--rank", "0", "--tree", kind,
+        "--rank", "1", "--tree", kind,
     )
     assert code == 0
     assert out.startswith("graph gh {") and "color=red" in out
@@ -242,7 +243,7 @@ def test_identify_ig_31_exact_z(capsys):
     assert "label homomorphism valid=True" in out
 
 
-ADJACENCY_GRAPH = ["graph", "--monoid", "adjacency", "--graph", "C4", "--rank", "0"]
+ADJACENCY_GRAPH = ["graph", "--monoid", "adjacency", "--graph", "C4", "--rank", "1"]
 DEGREE_TREES = ("s", "lex", "fd", "fc", "rank0")
 BRAUER_42 = ["--monoid", "brauer", "--n", "4", "--rank", "2"]
 
@@ -285,7 +286,8 @@ def test_brauer_gets_no_partition_hints(capsys):
         for family in PAIR_FAMILIES
         for kind in ("bfs", "pg")
     ),
-    ["stats", "--monoid", "adjacency", "--graph", "MISSING", "--rank", "0"],
+    ["stats", "--monoid", "adjacency", "--graph", "MISSING", "--rank", "1"],
+    ["identify", "--monoid", "adjacency", "--graph", "C4", "--rank", "5", "--family", "pg"],
     ["presentation", "--n", "3", "--rank", "1", "-o", "UNWRITABLE"],
     ["identify", "--n", "4", "--rank", "2", "--family", "pg", "--max-cosets", "0"],
     *(["identify", *BRAUER_42, "--family", "ig", "--tree", kind] for kind in ("s", "rank0")),
@@ -305,7 +307,7 @@ def test_brauer_gets_no_partition_hints(capsys):
         for family in PAIR_FAMILIES
         for kind in ("bfs", "pg")
     ),
-    "missing-graph-file", "unwritable-output", "max-cosets-below-1",
+    "missing-graph-file", "adjacency-rank-5", "unwritable-output", "max-cosets-below-1",
     *(f"brauer-identify-tree-{kind}" for kind in ("s", "rank0")),
     *(f"brauer-graph-tree-{kind}" for kind in DEGREE_TREES),
     "graph-tree-rank0-at-rank-2",

@@ -336,7 +336,7 @@ def test_adjacency_semigroup():
     with pytest.raises(ValueError, match="connected"):
         AdjacencySemigroup("abcd", [("a", "b"), ("c", "d")])
     # The zero D-class, then the one non-zero class.
-    assert g.rank(ADJ_ZERO) == 0 and g.rank(("a", "b")) is None
+    assert g.rank(ADJ_ZERO) == 0 and g.rank(("a", "b")) == 1
 
 
 def test_eq_helpers():

@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import pytest
 
+from diagfree import green
 from diagfree.biorder import enumerate_singular_squares, linked_triangles
 from diagfree.diagram import (
     ADJ_ZERO,
@@ -210,6 +211,19 @@ C4 = AdjacencySemigroup("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
 K3 = AdjacencySemigroup("abc", [("a", "b"), ("b", "c"), ("a", "c")])
 
 
+def test_adjacency_ranks_name_the_zero_and_the_non_zero_class():
+    """Rank 0 is the zero class and rank 1 the non-zero class, whose
+    H-classes are trivial (|D| = 4 * 4 * 1!); no other rank names a class."""
+    zero = dclass_data(C4, 0)
+    assert zero.size == 1
+    assert zero.projections == zero.idempotents == [ADJ_ZERO]
+    d = dclass_data(C4, 1)
+    assert (d.size, len(d.projections), len(d.idempotents)) == (16, 4, 12)
+    assert ADJ_ZERO not in d.idempotents and d.strata == {}
+    with pytest.raises(EmptyClassError):
+        dclass_data(C4, 2)
+
+
 @pytest.mark.parametrize("h", [C4, K3, PATH], ids=("C4", "K3", "path"))
 def test_green_relations_vs_ideals_on_adjacency_semigroups(h):
     """r_related, l_related and d_related agree with the principal-ideal
@@ -229,8 +243,8 @@ def test_green_relations_vs_ideals_on_adjacency_semigroups(h):
 PAIR_BUILT_CLASSES = [
     *((PartitionMonoid(n), r) for n in (1, 2, 3, 4) for r in range(n + 1)),
     *((BrauerMonoid(n), r) for n in (4, 5) for r in BrauerMonoid(n).ranks()),
-    (PATH, None),
-    (C4, None),
+    (PATH, 1),
+    (C4, 1),
     pytest.param(PartitionMonoid(5), 2, marks=pytest.mark.slow),
     pytest.param(PartitionMonoid(5), 3, marks=pytest.mark.slow),
 ]
@@ -285,24 +299,19 @@ def two_product_friendly(h, P):
     [
         *((PartitionMonoid(n), r) for n in (1, 2, 3, 4) for r in range(n + 1)),
         *((BrauerMonoid(n), r) for n in (2, 3, 4, 5) for r in BrauerMonoid(n).ranks()),
-        (PATH, None),
-        (C4, None),
-        (PATH, "pool"),
-        (C4, "pool"),
+        (PATH, 1),
+        (C4, 1),
     ],
     ids=lambda x: {id(PATH): "path", id(C4): "C4"}.get(id(x)) or getattr(x, "describe", x.__repr__)(),
 )
 def test_friendly_products_match_two_product_definition(h, r):
     """One θ test per unordered pair of one class, and one product per
-    friendly pair, give the friendly pairs of the definition, on each class
-    and on the adjacency witness pool, which mixes the zero class with the
-    non-zero class."""
-    P = h.projections() if r == "pool" else dclass_data(h, r).projections
+    friendly pair, give the friendly pairs of the definition on each
+    class."""
+    P = dclass_data(h, r).projections
     got = friendly_products(h, P)
     assert got == two_product_friendly(h, P)
     assert list(got) == sorted(got)
-    if r == "pool":
-        assert got[(0, 0)] == ADJ_ZERO and all(0 not in pair for pair in list(got)[1:])
 
 
 @pytest.mark.parametrize("r", range(4))
@@ -379,6 +388,31 @@ def test_dclass_product_count():
     assert calls == 331
 
 
+@pytest.mark.parametrize(
+    "h, r, ranks, products",
+    [(PartitionMonoid(4), 2, [2, 3, 4], 366), (BrauerMonoid(5), 1, [1, 3, 5], 296)],
+    ids=["P4r2", "B5r1"],
+)
+def test_friendly_products_get_one_class(h, r, ranks, products, monkeypatch):
+    """`friendly_products` reads no ranks: its precondition is that P lies
+    in one D-class.  The class build and the square search's witness pool
+    pass one class's P_D per call, the class itself and then each class
+    above it, one product per friendly pair: at (P_4, 2) the 331 + 35
+    products of a traced `squares_p4r2` pass, at (B_5, 1) 225 + 70 + 1."""
+    calls = []
+    friendly = green.friendly_products
+
+    def spy(handle, P):
+        out = friendly(handle, P)
+        calls.append(({handle.rank(p) for p in P}, len(out)))
+        return out
+
+    monkeypatch.setattr(green, "friendly_products", spy)
+    enumerate_singular_squares(dclass_data(h, r))
+    assert [cls for cls, _ in calls] == [{k} for k in ranks]
+    assert sum(n for _, n in calls) == products
+
+
 COUNTED_HANDLES = [
     *(PartitionMonoid(n) for n in (1, 2, 3, 4)),
     *(BrauerMonoid(n) for n in (2, 3, 4, 5)),
@@ -399,13 +433,9 @@ def test_dclass_size_is_counted_not_listed(h):
     """|D| = |rows| |cols| |H| agrees with the class listed by a filter
     over the whole monoid, and P(P_n) as generated is the generic
     a* = a = a a filter over P_n, in order."""
-    for r in [None] if isinstance(h, AdjacencySemigroup) else h.ranks():
+    for r in (0, 1) if isinstance(h, AdjacencySemigroup) else h.ranks():
         d = dclass_data(h, r)
-        if r is None:
-            reference = [x for x in h.elements() if x != ADJ_ZERO]
-        else:
-            reference = [x for x in h.elements() if h.rank(x) == r]
-        assert d.elements == reference
+        assert d.elements == [x for x in h.elements() if h.rank(x) == r]
         assert d.size == len(d.elements)
     if isinstance(h, PartitionMonoid):
         generic = [x for x in h.elements() if h.star(x) == x and h.is_idempotent(x)]

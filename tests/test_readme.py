@@ -1,6 +1,8 @@
 """README's stated outputs: every CLI line in README.md whose comment
 states an output, and the library example, are run, and each stated
-output is checked against both what the code prints and what README says."""
+output is checked against both what the code prints and what README says.
+The CLI lines run in an empty directory that holds the files README's
+`printf` lines write."""
 
 import contextlib
 import io
@@ -19,6 +21,7 @@ STATED = {
     "identify --family pg-linked --n 3 --rank 0": "trivial",
     "identify --family pg --n 4 --rank 2": "S_2 (order 2, certified)",
     "stats --monoid tn --n 3 --rank 2": "GH graph: 3+3 vertices",
+    "identify --monoid adjacency --graph c4.edges --family pg --rank 1": "Z (free rank 1)",
 }
 LIBRARY_OUTPUT = "S_2 (order 2, certified)"
 
@@ -42,7 +45,10 @@ def test_readme_states_these_outputs():
 
 
 @pytest.mark.parametrize("command", STATED)
-def test_readme_cli_output(command, capsys):
+def test_readme_cli_output(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for text, name in re.findall(r"^printf '(.*)' > (\S+)$", README, re.M):
+        (tmp_path / name).write_text(text.replace("\\n", "\n"))
     assert main(command.split()) == 0
     assert STATED[command] in capsys.readouterr().out
 
