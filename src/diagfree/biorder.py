@@ -110,12 +110,7 @@ def _nt_of(h: FiniteStarSemigroup, u) -> int:
 def find_singularizers(h: FiniteStarSemigroup, sq: Square) -> list[tuple[str, Any]]:
     """All (orientation, u) witnesses of sq, scanning E(S) in increasing NT(u)."""
     pool = sorted(h.idempotents(), key=lambda u: (_nt_of(h, u), h.sort_key(u)))
-    return [
-        (orient, u)
-        for u in pool
-        for orient in ORIENTATIONS
-        if _CHECKS[orient](h, sq, u)
-    ]
+    return [(orient, u) for u in pool for orient in witness_orientations(h, sq, u)]
 
 
 # -- D-class enumeration -----------------------------------------------------

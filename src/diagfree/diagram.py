@@ -4,13 +4,14 @@ Points are signed integers: k > 0 is the top point k, k < 0 is the bottom
 point |k|'.  A partition of degree n is stored as a labelling of the 2n
 points in the fixed order 1..n, 1'..n', with block ids canonicalised to
 first-occurrence order, so equal partitions have equal labellings and a
-stable fingerprint.
+stable fingerprint.  `bfs_edges` is the one breadth-first search of the
+package, here because every module that walks a graph imports this one.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 DEGREE_CAP = 8
 
@@ -21,6 +22,29 @@ class DegreeError(ValueError):
 
 class BlockError(ValueError):
     pass
+
+
+V = TypeVar("V", bound=Hashable)
+
+
+def bfs_edges(neighbours: Callable[[V], Iterable[V]], root: V) -> list[tuple[V, V]]:
+    """The breadth-first tree of the component of root: each edge (v, w)
+    that first reaches a vertex w, from v, in the order found.
+    neighbours(v) gives the order in which v's neighbours are tried.  The
+    component has len(edges) + 1 vertices."""
+    seen = {root}
+    frontier = [root]
+    edges = []
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in neighbours(v):
+                if w not in seen:
+                    seen.add(w)
+                    edges.append((v, w))
+                    nxt.append(w)
+        frontier = nxt
+    return edges
 
 
 def _canonical(raw: Sequence[int]) -> tuple[int, ...]:
@@ -702,23 +726,11 @@ class TransformationMonoid(PartitionHandleBase):
 
 
 def transformation_partition(n: int, images: Sequence[int]) -> Partition:
-    """The partition of the map i -> images[i-1] (full domain, trivial cokernel)."""
-    raw = [-1] * (2 * n)
-    nxt = 0
-    by_img: dict[int, int] = {}
-    for i in range(n):
-        img = images[i]
-        if img not in by_img:
-            by_img[img] = nxt
-            nxt += 1
-        raw[i] = by_img[img]
-    for j in range(n):
-        if (j + 1) in by_img:
-            raw[n + j] = by_img[j + 1]
-        else:
-            raw[n + j] = nxt
-            nxt += 1
-    return Partition(n, raw)
+    """The partition of the map i -> images[i-1] (full domain, trivial
+    cokernel): top point i is labelled by its image, bottom point j' by j,
+    or by -j when j is not an image, and `Partition` canonicalises."""
+    hit = set(images)
+    return Partition(n, [*images, *(j if j in hit else -j for j in range(1, n + 1))])
 
 
 ADJ_ZERO = ("0",)
@@ -744,23 +756,14 @@ class AdjacencySemigroup(FiniteStarSemigroup):
             es.add((str(v), str(u)))
         for v in self.vertices:
             es.add((v, v))
+        nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
         for u, v in es:
-            if u not in self.vertices or v not in self.vertices:
+            if u not in nbrs or v not in nbrs:
                 raise ValueError(f"edge endpoint {u!r} or {v!r} is not a vertex")
+            nbrs[u].append(v)
         self.edges = frozenset(es)
-        if not self._connected():
+        if len(bfs_edges(nbrs.__getitem__, self.vertices[0])) != len(self.vertices) - 1:
             raise ValueError("the simple reduct of the graph must be connected")
-
-    def _connected(self) -> bool:
-        seen = {self.vertices[0]}
-        todo = [self.vertices[0]]
-        while todo:
-            u = todo.pop()
-            for a, b in self.edges:
-                if a == u and b not in seen:
-                    seen.add(b)
-                    todo.append(b)
-        return len(seen) == len(self.vertices)
 
     def simple_edge_count(self) -> int:
         return len({frozenset((u, v)) for u, v in self.edges if u != v})

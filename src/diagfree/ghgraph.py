@@ -18,6 +18,7 @@ from typing import Any, Iterable
 from .diagram import (
     Partition,
     PartitionMonoid,
+    bfs_edges,
     full_domain_projection,
     involution,
     is_projection,
@@ -39,16 +40,6 @@ class GHGraph:
     @property
     def n_right(self) -> int:
         return len(self.dclass.lreps)
-
-    def adjacency(self) -> dict[int, list[int]]:
-        """Adjacency over the fused vertex set: left i -> i, right j -> n_left + j."""
-        adj: dict[int, list[int]] = {
-            v: [] for v in range(self.n_left + self.n_right)
-        }
-        for (i, j) in sorted(self.edges):
-            adj[i].append(self.n_left + j)
-            adj[self.n_left + j].append(i)
-        return adj
 
 
 @dataclass
@@ -96,25 +87,19 @@ def is_connected(g: GHGraph) -> bool:
 
 
 def spanning_tree_bfs(g: GHGraph) -> TreeSet:
-    """Deterministic BFS spanning tree of the full graph, rooted at left[0]."""
-    adj = g.adjacency()
+    """The `bfs_edges` tree of the full graph, rooted at left 0, in
+    canonical edge order.  Left i is vertex i and right j is vertex
+    n_left + j; each vertex tries its neighbours in sorted edge order."""
     nl = g.n_left
-    seen = {0}
-    frontier = [0]
-    edges = []
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    edges.append(g.edges[(v, w - nl) if v < nl else (w, v - nl)])
-                    nxt.append(w)
-        frontier = nxt
-    if len(seen) != len(adj):
+    adj: list[list[int]] = [[] for _ in range(nl + g.n_right)]
+    for i, j in sorted(g.edges):
+        adj[i].append(nl + j)
+        adj[nl + j].append(i)
+    tree = bfs_edges(adj.__getitem__, 0)
+    if len(tree) != len(adj) - 1:
         raise ValueError("graph is not connected")
-    d = g.dclass
-    edges.sort(key=d.handle.sort_key)
+    edges = [g.edges[(v, w - nl) if v < nl else (w, v - nl)] for v, w in tree]
+    edges.sort(key=g.dclass.handle.sort_key)
     return TreeSet("generic", edges)
 
 
@@ -329,20 +314,10 @@ def named_tree(d: DClassData, kind: str = "auto") -> TreeSet:
 
 def friendliness_tree(d: DClassData, root: int = 0) -> list[tuple[int, int]]:
     """Directed BFS spanning tree of the friendliness digraph, rooted at
-    the projection with the given index; edges point away from the root."""
-    seen = {root}
-    frontier = [root]
-    out: list[tuple[int, int]] = []
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in d.row_cols[v]:
-                if w not in seen:
-                    seen.add(w)
-                    out.append((v, w))
-                    nxt.append(w)
-        frontier = nxt
-    if len(seen) != len(d.projections):
+    the projection with the given index; edges point away from the root.
+    Each projection tries its friends in `row_cols` order."""
+    out = bfs_edges(d.row_cols.__getitem__, root)
+    if len(out) != len(d.projections) - 1:
         raise ValueError("friendliness digraph is not connected")
     return out
 

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 from .biorder import label
-from .diagram import PartitionMonoid
+from .diagram import PartitionMonoid, bfs_edges
 from .green import DClassData
 from .ghgraph import p1_projections
 from .present import (
@@ -233,22 +233,12 @@ def perm_inv(a: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def permutation_group_order(gens: list[tuple[int, ...]]) -> int:
+    """|<gens>|: the identity and every element that the breadth-first
+    tree of the Cayley graph reaches from it."""
     if not gens:
         return 1
-    deg = len(gens[0])
-    ident = tuple(range(deg))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = perm_compose(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen)
+    ident = tuple(range(len(gens[0])))
+    return 1 + len(bfs_edges(lambda x: (perm_compose(x, g) for g in gens), ident))
 
 
 @dataclass(frozen=True)

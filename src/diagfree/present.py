@@ -282,6 +282,25 @@ def emit_semigroup_presentation(h: FiniteStarSemigroup, family: str) -> Semigrou
     """
     if sum(1 for _ in itertools.islice(h._enumerate(), EMIT_SIZE_CAP + 1)) > EMIT_SIZE_CAP:
         raise ValueError("handle too large to enumerate for emission")
+    if family == "pg":
+        P = h.projections()
+        name_p = {p: f"x[{h.text(p)}]" for p in P}
+        rels = []
+        for p in P:
+            rels.append(((name_p[p], name_p[p]), (name_p[p],)))
+        for p in P:
+            for q in P:
+                pq = (name_p[p], name_p[q])
+                rels.append((pq + pq, pq))
+        for p in P:
+            for q in P:
+                pqp = h.product(h.product(p, q), p)
+                rels.append(
+                    ((name_p[p], name_p[q], name_p[p]), (name_p[pqp],))
+                )
+        return SemigroupPresentationDoc(
+            "pg", tuple(name_p[p] for p in P), tuple(rels)
+        )
     E = h.idempotents()
     name_e = {e: f"x[{h.text(e)}]" for e in E}
 
@@ -307,26 +326,8 @@ def emit_semigroup_presentation(h: FiniteStarSemigroup, family: str) -> Semigrou
         return SemigroupPresentationDoc(
             "rig", tuple(name_e[e] for e in E), tuple(rels)
         )
-    P = h.projections()
-    name_p = {p: f"x[{h.text(p)}]" for p in P}
-    if family == "pg":
-        rels = []
-        for p in P:
-            rels.append(((name_p[p], name_p[p]), (name_p[p],)))
-        for p in P:
-            for q in P:
-                pq = (name_p[p], name_p[q])
-                rels.append((pq + pq, pq))
-        for p in P:
-            for q in P:
-                pqp = h.product(h.product(p, q), p)
-                rels.append(
-                    ((name_p[p], name_p[q], name_p[p]), (name_p[pqp],))
-                )
-        return SemigroupPresentationDoc(
-            "pg", tuple(name_p[p] for p in P), tuple(rels)
-        )
     if family == "pg-e":
+        P = h.projections()
         rels = basic_relations()
         for p in P:
             for q in P:

@@ -1,5 +1,6 @@
 """Partition arithmetic, handles, and the twisting statistic."""
 
+import hashlib
 import random
 
 import pytest
@@ -318,6 +319,23 @@ def test_transformation_elements_shape():
     for a in TransformationMonoid(3).elements():
         assert a.ntu() == 0  # full domain
         assert all(len(c) == 1 for c in a.coker())  # trivial cokernel
+
+
+# sha256 of the labels of T_n's elements, in order, each from
+# `transformation_partition`.
+TRANSFORMATION_DIGESTS = {
+    3: (27, "e7153c8e1106e3d1918d25a220da8d37060badba0ffb25202d2f6000ef6e6b56"),
+    4: (256, "c1e6aced4d1876764cb7f7d204a941b6d404761be5cc6a71c2a2fc1d9c58748c"),
+}
+
+
+@pytest.mark.parametrize("n", TRANSFORMATION_DIGESTS)
+def test_transformation_elements_are_pinned(n):
+    elements = TransformationMonoid(n).elements()
+    digest = hashlib.sha256()
+    for a in elements:
+        digest.update(f"{a.labels}\n".encode())
+    assert (len(elements), digest.hexdigest()) == TRANSFORMATION_DIGESTS[n]
 
 
 def test_degree_cap():

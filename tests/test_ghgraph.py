@@ -1,5 +1,6 @@
 """Graham-Houghton graphs, the named spanning trees, and exports."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -8,6 +9,8 @@ import pytest
 
 from diagfree import ghgraph
 from diagfree.diagram import (
+    AdjacencySemigroup,
+    BrauerMonoid,
     PartitionMonoid,
     TransformationMonoid,
     partition_from_blocks,
@@ -299,6 +302,94 @@ def test_friendliness_tree():
     children = {c for (_p, c) in edges}
     assert len(children) == len(edges)  # a tree reaches each vertex once
     assert 0 not in children
+
+
+def test_friendliness_tree_refuses_a_disconnected_digraph():
+    """With every friendly pair of projection 0 dropped but (0, 0), the
+    walk from 0 reaches no other projection."""
+    d = dclass_data(P3, 1)
+    kept = {ij: e for ij, e in d.e_of_pair.items() if 0 not in ij or ij == (0, 0)}
+    cut = dataclasses.replace(d, e_of_pair=kept)
+    with pytest.raises(ValueError, match="friendliness digraph is not connected"):
+        friendliness_tree(cut, 0)
+
+
+C4 = AdjacencySemigroup("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+PATH = AdjacencySemigroup("abc", [("a", "b"), ("b", "c")])
+WALK_HANDLES = {
+    **{f"P{n}": PartitionMonoid(n) for n in (2, 3, 4, 5)},
+    **{f"B{n}": BrauerMonoid(n) for n in (3, 4, 5, 6)},
+    "T3": TransformationMonoid(3),
+    "T4": TransformationMonoid(4),
+    "C4": C4,
+    "path": PATH,
+}
+
+# sha256 of the walks of each class: the texts of its BFS tree's edges in
+# their returned order, then, for a class with projections, the pairs of
+# friendliness_tree(d, 0) in the order the walk finds them.
+WALK_DIGESTS = {
+    ("P2", 0): "86196bdbb8ce4ccc95afd916112adc5f3d663fecda13c43e58144072f7b48b07",
+    ("P2", 1): "3fbad39927c42ded547feefe97552cf55421fcfa9e1cecbc0da4c111aa7ccdec",
+    ("P2", 2): "93b4e3480b19510fbdceb78dd78e4fe8f5466edab7c280fba63ce485a7a41040",
+    ("P3", 0): "4cb50d4783699264adceba9aec57c7454f02ca30598efdb2a4d0fbc06817c056",
+    ("P3", 1): "c805fdbbdab848e73282596148f62c8207b73d6c066adf65cc74f17c02e96ec8",
+    ("P3", 2): "9f90ec602e46d22f44b089692480a67331811ec4ebb34b73567b063b4c1bf4ac",
+    ("P3", 3): "4741764ba812084654869819defbda7b5bd256888867811eae078a4591dd8246",
+    ("P4", 0): "5ee6001862f452b679e270b4c96a76607a583fd8ae0d211293c6f33dcb29abc4",
+    ("P4", 1): "0189ebdcfff494f13f21d171b4a984f060c666a901fd59f85335b746249a297b",
+    ("P4", 2): "5889feddcdf7d62fcacd910914c38a0e04b1be6353b60df8dd6a31ef66f34daf",
+    ("P4", 3): "e1d3f4aeb679c9e6978bb97f2d2e14c9b97832c72d0fcf547d879b5e1d565f5c",
+    ("P4", 4): "13f5ebde58e048fc95d8108a9029f2544572350c3c4ee4cf4c8079328915e170",
+    ("P5", 0): "3983423774db233d5ee26f841f068ea54574025ce810e1eb36f5d3d589c32f3f",
+    ("P5", 1): "2f2f794fee810257e8a5c9cfc83024f43ecc37f57995f6a531d30c9747ac952f",
+    ("P5", 2): "c05da850ec1e124faca3b4cdf6dfd5214bd81e7a896b7d034d5ab117c3bb23c8",
+    ("P5", 3): "f0a21d79b60cf9c528a606473758e81644d52d3f82cd51a83f2e05f189b9d4b9",
+    ("P5", 4): "27787bddf3c343715f28a22c5064264a9a31b6dd5a494e5083d1719d87358cb0",
+    ("P5", 5): "69ed9e153bfdd1c232e946b74117424d88bc894de8ef7e9b40e6ccd224fe9a7b",
+    ("B3", 1): "939c9bee08c4c843cc63b45ab158cd9b087293d8f1b0002baad52d1e1c659a40",
+    ("B3", 3): "4741764ba812084654869819defbda7b5bd256888867811eae078a4591dd8246",
+    ("B4", 0): "e040d64a013f5d62f2c96cda8dde5bf15f70be862051ae8f4eb31d230f6a48e4",
+    ("B4", 2): "1c5547c70ef0b88ca6e03a0caeff1dd63cbe2552d2b264ba372e4fe0b4fa418e",
+    ("B4", 4): "13f5ebde58e048fc95d8108a9029f2544572350c3c4ee4cf4c8079328915e170",
+    ("B5", 1): "ea6198baaedb96588df83aa502ee92157a1d69f0ffb1148843d4a434f312af72",
+    ("B5", 3): "25ca70ef32777725d3cd466b2d8ce485f9c57db41c70e9d63d059e2741d909b0",
+    ("B5", 5): "69ed9e153bfdd1c232e946b74117424d88bc894de8ef7e9b40e6ccd224fe9a7b",
+    ("B6", 0): "8637cc79d04d7212e1d037ce255032303733db7bcc7ea77668cf9aa82a17bc20",
+    ("B6", 2): "16f5169fa0197245bd19349f83ec8a1b3de8b223f564779458dec1aded8cd9f8",
+    ("B6", 4): "a4a8e36e4f5e81a59e86d73f64fa88e2d2a6202b7f4671c96e1da6be1236bc14",
+    ("B6", 6): "c268ec626734f23acbc4579be4f2eed851394ab4410f142c24b9a6f6a6d6a76a",
+    ("T3", 1): "16dd7e2446aca88eb44a2792585013480213ce4060a01cd51ef2543f5831f941",
+    ("T3", 2): "7d248f57968fc6d99c7f805dfb7ebe98135c751e6123a3a1db87d8ce1e08928e",
+    ("T3", 3): "4741764ba812084654869819defbda7b5bd256888867811eae078a4591dd8246",
+    ("T4", 1): "9a2e4a88bbce0ddb38d65456e8ebb947aeaf3e8519fa8ca72b300cbffff54d17",
+    ("T4", 2): "2bd8f52b3063572702ae0a527f23dbddb7f8ea8d738f0f997e5b15506f83ce5c",
+    ("T4", 3): "a26fe5a2c14b66420ae29e2dba6cc811d29de42a7bfe77d829d8ff394b5588c1",
+    ("T4", 4): "13f5ebde58e048fc95d8108a9029f2544572350c3c4ee4cf4c8079328915e170",
+    ("C4", 0): "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    ("C4", 1): "8d42d7d973e9f97acec12f7bd74125821a4af727f887a506ea6cb2aeb4c9a0ad",
+    ("path", 0): "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    ("path", 1): "debd76b174b5e8225da718c3e09b625090d54c4af17521ea4ef3af54707ea01c",
+}
+
+
+def test_walks_cover_every_class():
+    for name, h in WALK_HANDLES.items():
+        ranks = [0, 1] if isinstance(h, AdjacencySemigroup) else h.ranks()
+        assert sorted(r for key, r in WALK_DIGESTS if key == name) == ranks
+
+
+@pytest.mark.parametrize("name, r", WALK_DIGESTS, ids=[f"{k}r{r}" for k, r in WALK_DIGESTS])
+def test_walks_are_pinned(name, r):
+    h = WALK_HANDLES[name]
+    d = dclass_data(h, r)
+    digest = hashlib.sha256()
+    for e in spanning_tree_bfs(build_gh_graph(d)).edges:
+        digest.update(f"{h.text(e)}\n".encode())
+    if h.has_star:
+        for pair in friendliness_tree(d, 0):
+            digest.update(f"{pair}\n".encode())
+    assert digest.hexdigest() == WALK_DIGESTS[name, r]
 
 
 def _stirling2(n, k):

@@ -176,6 +176,21 @@ def test_label_homomorphism_checks():
     assert permutation_group_order([]) == 1
 
 
+@pytest.mark.parametrize(
+    "gens, order",
+    [
+        ([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], 120),
+        ([(1, 0, 3, 2), (2, 3, 0, 1)], 4),
+        ([(1, 2, 0)], 3),
+        ([(0, 1, 2)], 1),
+        ([], 1),
+    ],
+    ids=["S5", "Klein4", "C3", "identity", "empty"],
+)
+def test_permutation_group_order_exact(gens, order):
+    assert permutation_group_order(gens) == order
+
+
 def _reference_label_check(p, assignment):
     """The label check that inverts a permutation at every inverse letter:
     (valid, image_order)."""

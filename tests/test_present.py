@@ -574,6 +574,24 @@ def test_emit_pg_doc_golden():
     assert doc.render() == golden.read_text()
 
 
+def test_emit_pg_doc_products():
+    """PG's relations need p q and then (p q) p for each pair of the 22
+    projections of P_3: 2 * 22^2 = 968 products, and no idempotent test."""
+    h = PartitionMonoid(3)
+    calls = 0
+    product = h.product
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return product(x, y)
+
+    h.product = counted
+    emit_semigroup_presentation(h, "pg")
+    assert len(h.projections()) == 22
+    assert calls == 968
+
+
 def test_emit_pg_e_and_rig():
     doc = emit_semigroup_presentation(P2, "pg-e")
     assert len(doc.generators) == 12
