@@ -312,21 +312,23 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
 
 
 def _conjugations(d: DClassData):
-    """(p, items) for each projection p of the monoid, in canonical order:
-    items are the sorted index pairs (i, j) with θ_p(P[i]) = P[j],
-    computed on projection keys."""
+    """(p, row) for each projection p of the monoid, in canonical order:
+    row[i] = j when θ_p(P[i]) = P[j], None when θ_p(P[i]) leaves P_D.
+    The rows come from the handle's `theta_rows` on projection keys, which
+    for P_n and B_n builds each join ker(p) v ker(s) once per kernel."""
     h = d.handle
-    key, theta = h.projection_key, h.theta
-    P = [key(s) for s in d.projections]
-    pidx = {s: i for i, s in enumerate(P)}
-    for p in h.projections():
-        kp = key(p)
-        items = []
-        for i, s in enumerate(P):
-            j = pidx.get(theta(kp, s))
-            if j is not None:
-                items.append((i, j))
-        yield p, items
+    key = h.projection_key
+    ps = h.projections()
+    return zip(ps, h.theta_rows(map(key, ps), [key(s) for s in d.projections]))
+
+
+def _by_image(row: list) -> dict[int, list[int]]:
+    """w -> the indices u with row[u] = w, ascending, for the w in P_D."""
+    out: dict[int, list[int]] = {}
+    for u, w in enumerate(row):
+        if w is not None:
+            out.setdefault(w, []).append(u)
+    return out
 
 
 def enumerate_linked_diamonds(d: DClassData) -> list[LinkedDiamond]:
@@ -339,36 +341,49 @@ def enumerate_linked_diamonds(d: DClassData) -> list[LinkedDiamond]:
     a = s p, a a* = s p s <= s is D-related to a* a = v, so s p s = s
     and (s, v) is friendly; so is (u, w).  For a = s p u, a a* = s w s <= s
     and a* a = u v u <= u are D-related, so (s, w) is friendly iff (u, v)
-    is."""
+    is.  That test depends on u only through w, so it runs once per
+    (s, w) over the row grouped by image."""
     P = d.projections
     fr = d.friendly
     found: dict[tuple, LinkedDiamond] = {}
-    for p, items in _conjugations(d):
-        for si, vi in items:
-            for ui, wi in items:
+    for p, row in _conjugations(d):
+        images = _by_image(row)
+        for si, vi in enumerate(row):
+            if vi is None:
+                continue
+            for wi, us in images.items():
                 if (si, wi) in fr:
-                    key = min((si, ui, vi, wi), (ui, si, wi, vi))
-                    if key not in found:
-                        found[key] = LinkedDiamond(P[si], P[ui], P[vi], P[wi], p)
+                    for ui in us:
+                        key = min((si, ui, vi, wi), (ui, si, wi, vi))
+                        if key not in found:
+                            found[key] = LinkedDiamond(P[si], P[ui], P[vi], P[wi], p)
     return [found[k] for k in sorted(found)]
 
 
 def linked_triangles(d: DClassData) -> list[tuple]:
     """p-linked triangles (s,u,w): psp=s, pup=w, with (s,w),(u,s),(u,w)
     friendly.  They are the linked diamonds with v = s, so one test
-    decides all three (see `enumerate_linked_diamonds`)."""
+    decides all three (see `enumerate_linked_diamonds`).
+
+    The corners s are the fixed points of θ_p, D_p = {s in P_D : s <= p},
+    collected once per p, and the row is grouped by image w, so the test
+    (s, w) runs once per (s, w) rather than once per (s, u).  Each
+    triangle keeps its first p in canonical order."""
     P = d.projections
     fr = d.friendly
     found: dict[tuple, Any] = {}
-    for p, items in _conjugations(d):
-        for si, vi in items:
-            if vi != si:
-                continue
-            for ui, wi in items:
+    for p, row in _conjugations(d):
+        fixed = [s for s, v in enumerate(row) if v == s]
+        if not fixed:
+            continue
+        images = _by_image(row)
+        for si in fixed:
+            for wi, us in images.items():
                 if (si, wi) in fr:
-                    key = (si, ui, wi)
-                    if key not in found:
-                        found[key] = (P[si], P[ui], P[wi], p)
+                    for ui in us:
+                        key = (si, ui, wi)
+                        if key not in found:
+                            found[key] = (P[si], P[ui], P[wi], p)
     return [found[k] for k in sorted(found)]
 
 

@@ -438,9 +438,14 @@ def theta(p: tuple, s: tuple) -> tuple:
     of s.  So the non-transversal classes of p stay, and the transversal
     classes of p inside one J-class merge into one class, transversal iff
     that J-class meets a transversal class of s."""
-    tp, ts = sum(p[0]), sum(s[0])
-    join = [*p[0], *p[1]]
-    for c in (*s[0], *s[1]):
+    return _conjugate(p, sum(s[0]), _join((*p[0], *p[1]), (*s[0], *s[1])))
+
+
+def _join(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The classes of the join of two equivalences on [n], each given by
+    its classes as bitmasks."""
+    join = list(a)
+    for c in b:
         rest = []
         for k in join:
             if k & c:
@@ -448,6 +453,13 @@ def theta(p: tuple, s: tuple) -> tuple:
             else:
                 rest.append(k)
         join = rest + [c]
+    return join
+
+
+def _conjugate(p: tuple, ts: int, join: list[int]) -> tuple:
+    """θ_p(s) from the classes of J = ker(p) v ker(s) and ts, the union of
+    the transversal classes of s (see `theta`)."""
+    tp = sum(p[0])
     trans, non = [], list(p[1])
     for k in join:
         if k & tp:
@@ -549,6 +561,13 @@ class FiniteStarSemigroup:
         """θ_p(s) = p s p."""
         return self.product(self.product(p, s), p)
 
+    def theta_rows(self, ps: Iterable, keys: list) -> Iterator[list]:
+        """For each projection key p of ps, p's row of θ-images on keys:
+        row[i] = j when θ_p(keys[i]) = keys[j], None when it is not in keys."""
+        index = {s: i for i, s in enumerate(keys)}
+        for p in ps:
+            yield [index.get(self.theta(p, s)) for s in keys]
+
     def projection_leq(self, p, q) -> bool:
         """p <= q, i.e. q p = p."""
         return self.product(q, p) == p
@@ -637,6 +656,19 @@ class PartitionHandleBase(FiniteStarSemigroup):
     projection_key = staticmethod(projection_classes)
     theta = staticmethod(theta)
     projection_leq = staticmethod(projection_leq)
+
+    def theta_rows(self, ps: Iterable, keys: list) -> Iterator[list]:
+        """As `FiniteStarSemigroup.theta_rows`, with each join
+        ker(p) v ker(s) built once per distinct kernel of p."""
+        index = {s: i for i, s in enumerate(keys)}
+        kers = [(*s[0], *s[1]) for s in keys]
+        ts = [sum(s[0]) for s in keys]
+        joins: dict[tuple, list] = {}
+        for p in ps:
+            ker = tuple(sorted((*p[0], *p[1])))
+            if ker not in joins:
+                joins[ker] = [_join(ker, k) for k in kers]
+            yield [index.get(_conjugate(p, t, j)) for t, j in zip(ts, joins[ker])]
 
     def text(self, x: Partition) -> str:
         return x.to_text()

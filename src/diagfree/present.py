@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .biorder import (
     LinkedDiamond,
@@ -157,11 +157,12 @@ def presn_pg_squares(
 def _pair_presentation(
     d: DClassData,
     f_tree: Sequence[tuple[int, int]],
-    quotient: Iterable[Sequence[tuple[tuple[int, int], int]]],
+    quotient: Callable[[dict[tuple[int, int], int]], Iterable[Word]],
 ) -> GroupPresentation:
     """Presentation on generators a_{p,q} for the friendly pairs: tree edges
     and diagonal generators trivial, a_{p,q} inverse to a_{q,p}, and one
-    relator per quotient word, a sequence of (pair, +1 or -1) letters.
+    relator per quotient word.  quotient(gid) gives the words over the
+    generator numbers gid[(i, j)] of the pairs (i, j) of P_D indices.
     f_tree must be a spanning tree of P_D: |P_D| - 1 friendly pairs that,
     read as undirected edges, connect every projection."""
     text = [d.handle.text(p) for p in d.projections]
@@ -179,8 +180,8 @@ def _pair_presentation(
     for (i, j) in pairs:
         if i < j and (j, i) in gid:
             relators.append((gid[(i, j)], gid[(j, i)]))
-    for letters in quotient:
-        word = free_reduce([x * gid[pair] for pair, x in letters])
+    for word in quotient(gid):
+        word = free_reduce(word)
         if word:
             relators.append(word)
     return GroupPresentation(gens, tuple(relators))
@@ -194,14 +195,15 @@ def presn_pg_linked(
     """Presentation on generators a_{p,q} for friendly pairs with one
     quotient relation a_{s,v}^-1 a_{s,w} a_{u,w}^-1 a_{u,v} per
     non-degenerate linked diamond (s,u;v,w)."""
+    at = d._pindex
 
-    def quotient():
+    def quotient(gid):
         for dia in diamonds:
             if not dia.degenerate:
-                s, u, v, w = map(d.proj_index, (dia.s, dia.u, dia.v, dia.w))
-                yield ((s, v), -1), ((s, w), 1), ((u, w), -1), ((u, v), 1)
+                s, u, v, w = at[dia.s], at[dia.u], at[dia.v], at[dia.w]
+                yield -gid[(s, v)], gid[(s, w)], -gid[(u, w)], gid[(u, v)]
 
-    return _pair_presentation(d, f_tree, quotient())
+    return _pair_presentation(d, f_tree, quotient)
 
 
 def presn_pg_triangles(
@@ -211,13 +213,14 @@ def presn_pg_triangles(
 ) -> GroupPresentation:
     """Variant whose quotient relations are a_{u,s} a_{s,w} = a_{u,w} over
     the linked triangles."""
+    at = d._pindex
 
-    def quotient():
+    def quotient(gid):
         for s, u, w, _p in triangles:
-            s, u, w = map(d.proj_index, (s, u, w))
-            yield ((u, s), 1), ((s, w), 1), ((u, w), -1)
+            s, u, w = at[s], at[u], at[w]
+            yield gid[(u, s)], gid[(s, w)], -gid[(u, w)]
 
-    return _pair_presentation(d, f_tree, quotient())
+    return _pair_presentation(d, f_tree, quotient)
 
 
 FAMILIES = ("ig", "pg", "pg-linked", "pg-triangles")
@@ -278,8 +281,11 @@ def emit_semigroup_presentation(h: FiniteStarSemigroup, family: str) -> Semigrou
     "pg" (projection generators), or "pg-e" (idempotent generators with the
     projection-product relations adjoined).  The size check counts at most
     EMIT_SIZE_CAP + 1 elements, so a handle over the cap is refused before
-    its element list is built.
+    its element list is built.  An unknown family is refused first, before
+    any product.
     """
+    if family not in ("ig", "rig", "pg", "pg-e"):
+        raise ValueError(f"unknown family {family!r}")
     if sum(1 for _ in itertools.islice(h._enumerate(), EMIT_SIZE_CAP + 1)) > EMIT_SIZE_CAP:
         raise ValueError("handle too large to enumerate for emission")
     if family == "pg":
@@ -326,17 +332,14 @@ def emit_semigroup_presentation(h: FiniteStarSemigroup, family: str) -> Semigrou
         return SemigroupPresentationDoc(
             "rig", tuple(name_e[e] for e in E), tuple(rels)
         )
-    if family == "pg-e":
-        P = h.projections()
-        rels = basic_relations()
-        for p in P:
-            for q in P:
-                pq = h.product(p, q)
-                rels.append(((name_e[p], name_e[q]), (name_e[pq],)))
-        return SemigroupPresentationDoc(
-            "pg-e", tuple(name_e[e] for e in E), tuple(rels)
-        )
-    raise ValueError(f"unknown family {family!r}")
+    # pg-e
+    P = h.projections()
+    rels = basic_relations()
+    for p in P:
+        for q in P:
+            pq = h.product(p, q)
+            rels.append(((name_e[p], name_e[q]), (name_e[pq],)))
+    return SemigroupPresentationDoc("pg-e", tuple(name_e[e] for e in E), tuple(rels))
 
 
 def basic_pairs(h: FiniteStarSemigroup) -> list[tuple]:

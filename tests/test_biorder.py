@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from diagfree import biorder
+from diagfree import biorder, diagram
 from diagfree.biorder import (
     HORIZONTAL,
     LinkedDiamond,
@@ -343,6 +343,25 @@ def test_linked_triangles_make_no_products():
     assert len(linked_triangles(d)) == 992
 
 
+def test_linked_triangle_scan_builds_one_join_per_kernel(monkeypatch):
+    """At (P_4, 0) the 94 projections of P_4 have 15 kernels, and P_D has
+    15 projections: the scan builds 15 x 15 = 225 joins ker(p) v ker(s),
+    one per kernel and s (1,410 with one per θ)."""
+    h = PartitionMonoid(4)
+    d = dclass_data(h, 0)
+    calls = 0
+    join = diagram._join
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return join(a, b)
+
+    monkeypatch.setattr(diagram, "_join", counted)
+    assert len(linked_triangles(d)) == 992
+    assert calls == 225
+
+
 @pytest.mark.parametrize(
     "monoid, n, r, count",
     [(PartitionMonoid, 4, 2, 241), (PartitionMonoid, 4, 1, 1366), (BrauerMonoid, 5, 1, 165)],
@@ -430,10 +449,43 @@ def test_linked_scans_need_one_friendliness_test(h, r):
     assert pairs
 
 
+THETA_ROW_CLASSES = {**LINKED_FACT_CLASSES, "path0": (PATH, 0), "C4r0": (C4, 0)}
+
+
 @pytest.mark.parametrize(
     "h, r",
-    [(P3, 0), (P3, 1), (P4, 0), (BrauerMonoid(4), 0), (C4, 1)],
-    ids=["P3r0", "P3r1", "P4r0", "B4r0", "C4"],
+    [
+        *THETA_ROW_CLASSES.values(),
+        *(pytest.param(PartitionMonoid(5), r, marks=pytest.mark.slow) for r in range(6)),
+    ],
+    ids=[*THETA_ROW_CLASSES, *(f"P5r{r}" for r in range(6))],
+)
+def test_theta_rows_match_theta(h, r):
+    """The handle's rows of θ-images against θ per pair, for every
+    projection p of the monoid and every s in P_D: the index of θ_p(s) in
+    P_D, or None when it leaves P_D."""
+    d = dclass_data(h, r)
+    keys = [h.projection_key(s) for s in d.projections]
+    ps = [h.projection_key(p) for p in h.projections()]
+    want = [
+        [keys.index(t) if (t := h.theta(p, s)) in keys else None for s in keys]
+        for p in ps
+    ]
+    assert list(h.theta_rows(ps, keys)) == want
+
+
+@pytest.mark.parametrize(
+    "h, r",
+    [
+        (P3, 0),
+        (P3, 1),
+        (P4, 0),
+        (BrauerMonoid(4), 0),
+        (C4, 1),
+        pytest.param(P4, 1, marks=pytest.mark.slow),
+        (BrauerMonoid(5), 1),
+    ],
+    ids=["P3r0", "P3r1", "P4r0", "B4r0", "C4", "P4r1", "B5r1"],
 )
 def test_linked_scans_match_definition_oracle(h, r):
     """Both scans against `is_linked_diamond`, which tests all four
@@ -546,45 +598,195 @@ def test_linked_triangles_are_diamonds():
         assert is_linked_diamond(P3, d, s, u, s, w, p)
 
 
-# (monoid, n, r) -> (triangles, diamonds, sha256 of the triangle list, of the
-# diamond list, of the linked-diamond presentation and of the triangle one).
+# Every class of P_2-P_4 and B_3-B_5, the non-zero class of the path and
+# of the 4-cycle, and (slow) P_5 at ranks 0 and 2, by the ids of the test.
+LINKED_CLASSES = {
+    **{f"{n}-{r}": (PartitionMonoid(n), r) for n in (2, 3, 4) for r in range(n + 1)},
+    **{f"B{n}-{r}": (BrauerMonoid(n), r) for n in (3, 4, 5) for r in BrauerMonoid(n).ranks()},
+    "path": (PATH, 1),
+    "C4": (C4, 1),
+    "5-0": (PartitionMonoid(5), 0),
+    "5-2": (PartitionMonoid(5), 2),
+}
+
+# id -> linked_digests(*LINKED_CLASSES[id]).
 LINKED_DIGESTS = {
-    (PartitionMonoid, 3, 0): (
+    "2-0": (
+        6, 7,
+        "409d2b7aa0032dea03230bbea1704aebe061f7a912970c51e88ff4b413bf7dfa",
+        "43077f7e1dde5cbd134033359840146ceffc0f62367d38ba665c2914212853b1",
+        "6216e61cd3ae64f3835f96bfee49c8a465a9ab5372b0ad32d1a24f248f3dd79d",
+        "83d96314b49d8d9eceebae135ceb193ab373fd8cf98d606dfca7d33c5f3bd2ac",
+    ),
+    "2-1": (
+        11, 14,
+        "4b9d9557457c06deebf50883eec09ae2eca72ea4d872366d1552ce8293f645b5",
+        "bcad1b4571ea97155071ca717c89be2a497202fd1694ae91b7324bf2611057a9",
+        "2c65f0761788feab673d0a2f70dad898c43db269d39dedaa69414bdc0db95e56",
+        "1d05f3e5db5e511e7b18599010a95a99f16e77e588d23218767313a271eb11e0",
+    ),
+    "2-2": (
+        1, 1,
+        "baa0fad1b2171bf5b9ccedd464fd98f2d2404ce8168bcd543fe91d205402575a",
+        "516c5cb2c4bb7fe32dbacafe74ea77f16f8a5224c81eaafb63253a90c4482ac5",
+        "4be909baaa371a518b9e1d7d68197f1dcfc65573bc051e7f91c5f9f165d5931e",
+        "587601017f00194a4410d6eb1b4f03b9d34c25fd650c006e4ee17997d5e48bdf",
+    ),
+    "3-0": (
         63, 115,
         "c6891fdcd6c4d5861350e2e9b32fc470009db15ea3b7b9bdb85bacf7875b0ab6",
         "d1f1eaa9b13e83c061ac3c7ad74572086dc08a78cbf503f2dd0c12ddfb0aa40f",
         "0d768e08ee4a900a71b69df7366bc635878cb694d4401511ca39eee73e2cc244",
         "59604b1a7b0a8a0cbce0712e428153083efa56e14f0ff79508204ae7c61b5f05",
     ),
-    (PartitionMonoid, 3, 1): (
+    "3-1": (
         181, 421,
         "f4c720ca2403c9082ed665c9d3701cc83d6bc98ee29f82cabc8b646aa8834247",
         "375e50402f755788e588e44b5b5fcf00a215a1e76d5275d76e6222efb04842e9",
         "f729509a0010364684876833a9a3f62ea6daabc3ccf4430baeadff7db7a4a68c",
         "613ce6ee7f48452d282544a0ae4784046c2d7163e392813f0ceb5943784687bd",
     ),
-    (PartitionMonoid, 4, 0): (
+    "3-2": (
+        30, 42,
+        "de841a68d3c58cd6027c4988791ea90c63835d7628dd1593b903e91646144f1b",
+        "f90c331c91fe568c2f1f6ad1b38aff007d93938692a70eeb798cdae0da82440b",
+        "5d94f641f9338b144241889ce4b830a56ce28de3de40932650618b1e7dc02ab0",
+        "800646d35475099589d7d8365d4b6032d8664840b273600ad484d450954b388f",
+    ),
+    "3-3": (
+        1, 1,
+        "a10fc3761be2b2e933bce0971fc1fe4ef6a821fcfd4756648c33d4f51a255c29",
+        "e739dbf53f9c9669b534a52bee1215be57bb4106b18197045a426299d7516f68",
+        "e43376683bdb2e1653f858ea2b6beeba8e88d7a64ac63b6c5121c9e82e83be04",
+        "3bdfd725d0f88601b762c1fa4f2af066f399c7418543f8b5326a33305f7e3e75",
+    ),
+    "4-0": (
         992, 3800,
         "bce5c7e8960a78d1b8e1ef9f3b9216680daea1de85901f657cec1457f673d549",
         "5c17cabbbb3af32f0105a4b3ce9c9c402d296dfb3b4ef0fbc3d05de76d7035f1",
         "d98d82fec9b982ff6533b555f83a2398d8338c3a5026aaef34e5e3075c93ff46",
         "cec84eadf31dbb7fd7cacf0e742fefedd804a619571f19c2488cd7f63ef47d21",
     ),
-    (BrauerMonoid, 4, 0): (
+    "4-1": (
+        3975, 21909,
+        "5fd1f274bba65b2d7ab4e61b11f4f5b4d0d82f1789340b1ae20c405e22a090eb",
+        "0fe49960aebb62bcd68423602217ebf2930acc6903dfadf6ebb5985951b60059",
+        "25acecc3a2e32e9997d9584527cf37f133fe160c03f2fb9301b3487f56b9d0c3",
+        "0eec9774f249ac380c5af07830b3acc86952c1ddbc35f6e6b6543cc9dcc09733",
+    ),
+    "4-2": (
+        931, 2731,
+        "44fb9b91f457cb18ff8d4e605a3d8af8b4af52eaf1290b2a6a3b8735debcf407",
+        "0473dff3e4a12e72799ec6653b62eb3a10b1cf11b44b86a7aac21d105377ea87",
+        "a6207b52be6f26b3825380e0a7f296a4dbbf014e7f4e73394c29e61d08d6e4f7",
+        "77718378e7122b1f32bc27820b6b65e7e5d69b0a4565d2eeac2210e8a5bd54cd",
+    ),
+    "4-3": (
+        58, 88,
+        "5236d71b4001adc3c44684c333b723cb6176a9d5a9379ac5624157fe927e5120",
+        "74dce53a06550b87c2f267a7401234e2918ff0105a186d66e0daf8015265e7ab",
+        "802b8cf944d6f54e7897cf945f499dc7779900fb210518ac85fddd31d9355b78",
+        "f8d3267da68126ab08e180e30f1f7cded2484034552fdf1a18744595a38de2a3",
+    ),
+    "4-4": (
+        1, 1,
+        "12465efa34413a752bbbcde59007dc2dc0f30f901fc3864a3c57933496b05515",
+        "4e471056be37eb74f4c2a2aef9e8cde3c1fc019381ed1bdf821486bcb042a487",
+        "b9380952bde38f002b0bc50e9b6c2f8cf2e4c15d293c7cbe3d0202394827acb3",
+        "eb8f0bf1b32193502e0b79674b76e1ce2d5cdb7c83614675fe5872555143bf3a",
+    ),
+    "B3-1": (
+        15, 21,
+        "b2c38b864121e3e53999bc3fe28e46cc59315b09b064178c80b5d8a9ed7e097c",
+        "d1b06143ef10673eb3a6d033173177e96c0eba236720767e335d7d9a75536e0e",
+        "07dd73408c0599e2bc9abb3936793ad2e869e4af1f4cbeeefca1c13159e6abfd",
+        "1b0efd67a17bf78e4fe9fc0243a6a4e097c00cb25f92c2d6108b5ee6dab061af",
+    ),
+    "B3-3": (
+        1, 1,
+        "a10fc3761be2b2e933bce0971fc1fe4ef6a821fcfd4756648c33d4f51a255c29",
+        "e739dbf53f9c9669b534a52bee1215be57bb4106b18197045a426299d7516f68",
+        "e43376683bdb2e1653f858ea2b6beeba8e88d7a64ac63b6c5121c9e82e83be04",
+        "3bdfd725d0f88601b762c1fa4f2af066f399c7418543f8b5326a33305f7e3e75",
+    ),
+    "B4-0": (
         15, 21,
         "31189cb64d0c5d8d1e7fe5464dd861f32b8bc39684e96e81579e970da87da47c",
         "6c1580f56e087e6a4890a3c81b03b18d37bc94f90e09b98fcc1067c2696006fc",
         "2a323232cad50d6e5908df4ce29070bcfdba2531359ef7d7c903493786ae8967",
         "b8b07bad9848dcfd53cc92f214bdc25469520dfb8e0fd91d5933b725be2527da",
     ),
+    "B4-2": (
+        54, 102,
+        "7175445d2d2b0376ad3d3fb05dc680a453cf11040f263039f7b2a28ca7c8e122",
+        "f71afc9af081e0f93e6815469fcf1096a266ff3e97f7880816e3386568a8ffd4",
+        "ea274b4c3523bea6ad14beb453a518887bb560ab64c0854fbf4b5faa8e14e96f",
+        "20a75626fe6131e6f630a348d5ee940361b5a9e7d37bd963ce093ecf76b97047",
+    ),
+    "B4-4": (
+        1, 1,
+        "12465efa34413a752bbbcde59007dc2dc0f30f901fc3864a3c57933496b05515",
+        "4e471056be37eb74f4c2a2aef9e8cde3c1fc019381ed1bdf821486bcb042a487",
+        "b9380952bde38f002b0bc50e9b6c2f8cf2e4c15d293c7cbe3d0202394827acb3",
+        "eb8f0bf1b32193502e0b79674b76e1ce2d5cdb7c83614675fe5872555143bf3a",
+    ),
+    "B5-1": (
+        675, 2625,
+        "fa878f37d2a12908b50abf69483010f296f8cc6bad98585c5582fa5833c017c4",
+        "0d8a51623fc6de24942911d7be175255f40311a5ab42eac85608b4e60c7925b7",
+        "2d26feeff7f92d50ddd61b067212aae32d6e0f38fe0fc2af7f2738d039229a41",
+        "53bfcc34e8eace1f3b91c9562047e3d1672d1617a5039d1b9d7f493a657c5cd0",
+    ),
+    "B5-3": (
+        130, 310,
+        "e222d42569675feb2bfd8dcb2eede11b7e89e12ae49a7c11e35b01c6539bd55f",
+        "eb13dccc424cc7cdf8557bbc6a6bc0283799c37ae5e1d8b0a167ba43c1fb6bb6",
+        "f2fa40cca48027f37a14804eca803b834dd7ee9114dd78ece81f720b48f43167",
+        "dca74c760719911a6bda2f565081ec66d7ba796fd7e3a3f1b76d2828333e54ad",
+    ),
+    "B5-5": (
+        1, 1,
+        "b47681111b693b56ccdd9888ca39f8325225f2a1bde1a1e6b01bd77f44eac15f",
+        "b7d50e75d4c7ee844a5abb305cded74804879ea4d41a6b94ac4754382e000076",
+        "afe63b7ea99b8b2b721409066ee1ffe98ba34325a7f00e6e9ec8078c94a9f713",
+        "dc45f2a9aca81936dca7f504aa9c75b244faf1989cd65b36d30aca646bbacae0",
+    ),
+    "path": (
+        7, 12,
+        "bdf904d81e721309da452211d1be02c9b3841869fb6e1cc630eb30056ade6c3b",
+        "a1137aa2b804685f5a342bb7127f66e8962078abf397a05635743770fdeaaf39",
+        "720a69f3bf7d4cc4ef2bb238adde78706fc9fa52ac71f6ddabc9222fbb1c79c7",
+        "4eb7b10a2b2947a90f1edce143386ffbc8e111f5685a61b299729ad425fd6f0d",
+    ),
+    "C4": (
+        12, 24,
+        "936af978bafed8603d42326a95c6a48c6661cee1f764533bb409b512d705169e",
+        "f8e1dde48f88e32e9da5f542f7d16d7f32d05d30f61d0496ef46685e2d3a32f3",
+        "a44942b01ce94298ac44cf8bb34a9e1aeb7c09ee8ef3a8bca20a6293e7d48457",
+        "9dccbe08c91e1597d0e02c94b704d65748c7692e4ca60f343dd01078b91dbf1f",
+    ),
+    "5-0": (
+        20966, 204277,
+        "79e91ef14d1768a737f98567c66838666a5ac22235235bef976f8a3c8c17af85",
+        "71f2a215b4e9bc3cc94f04c79c9caf3f2176e66a815ff59fef70fe66cd5a2039",
+        "47aba52c9eadb59e9f8a47a48881cdf499148e3b1b0456daf5d366803ed55080",
+        "cf3fc99a7b5233f9b382e8186326e7d2f2b517e99f3150e7b9a295f154a2a6d8",
+    ),
+    "5-2": (
+        32700, 252855,
+        "d9f5d03ac6844bf01d588f3d6d5a5e1e7ab497fd725fc8add7024e372d4723e0",
+        "087c0e13930bb72642885a9b1dfe56a539b6d9833a7948c2bc9994c2be7d6583",
+        "25b9526af31097e7b303d3c6faa12eaf4db8ae01a624a039ae8df67eda332521",
+        "3480de024060c9e662cad10c4e125e4b87565d320dbd42581f4fff4016292e9a",
+    ),
 }
 
 
-@pytest.mark.parametrize("monoid, n, r", LINKED_DIGESTS, ids=["3-0", "3-1", "4-0", "B4-0"])
-def test_linked_lists_pinned(monoid, n, r):
-    """Triangles (s, u, w, p) and diamonds (s, u; v, w) with witness p, as
-    text, and both friendly-pair presentations over friendliness_tree(d, 0)."""
-    h = monoid(n)
+def linked_digests(h, r) -> tuple:
+    """(triangles, diamonds, sha256 of the triangle list, of the diamond
+    list, of the linked-diamond presentation and of the triangle one): the
+    lists as text with their witnesses p, in returned order, and both
+    friendly-pair presentations over friendliness_tree(d, 0)."""
     d = dclass_data(h, r)
     tris = linked_triangles(d)
     dias = enumerate_linked_diamonds(d)
@@ -595,8 +797,43 @@ def test_linked_lists_pinned(monoid, n, r):
         to_cas_text(presn_pg_linked(d, dias, tree)),
         to_cas_text(presn_pg_triangles(d, tris, tree)),
     )
-    digests = tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
-    assert (len(tris), len(dias), *digests) == LINKED_DIGESTS[(monoid, n, r)]
+    return (len(tris), len(dias), *(hashlib.sha256(t.encode()).hexdigest() for t in texts))
+
+
+# A P_5 case peaks near 150 MB, so it runs in a fresh interpreter: a child
+# process's ru_maxrss starts at its parent's peak, which would otherwise
+# count against `test_square_search_memory_p5r2`.
+LINKED_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_biorder import LINKED_CLASSES, linked_digests
+print(repr(linked_digests(*LINKED_CLASSES[sys.argv[2]])))
+"""
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(case, marks=pytest.mark.slow) if case.startswith("5-") else case
+        for case in LINKED_DIGESTS
+    ],
+    ids=list(LINKED_DIGESTS),
+)
+def test_linked_lists_pinned(case):
+    """Both linked lists with their witnesses, and both friendly-pair
+    presentations, against their digests."""
+    if not case.startswith("5-"):
+        assert linked_digests(*LINKED_CLASSES[case]) == LINKED_DIGESTS[case]
+        return
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", LINKED_CHILD, str(root / "tests"), case],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(LINKED_DIGESTS[case])
 
 
 def test_degenerate_square_not_nt_reducing():

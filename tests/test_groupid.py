@@ -398,8 +398,12 @@ def test_verdict_json():
             "pg": "S_5 (order 120, certified)",
             "ig": "consistent with Z x S_5 (finite part order 120, certification: partial)",
         }, marks=pytest.mark.slow),
+        pytest.param(6, 0, {"pg-triangles": "trivial"}, marks=pytest.mark.slow),
     ],
-    ids=["P5r4", "P5r3", "P5r0-triangles", "P6r5", "P6r4", "P7r6", "P5r2", "P5r0", "P7r5"],
+    ids=[
+        "P5r4", "P5r3", "P5r0-triangles", "P6r5", "P6r4", "P7r6", "P5r2", "P5r0", "P7r5",
+        "P6r0-triangles",
+    ],
 )
 def test_identify_degrees_5_and_6(n, r, want):
     """identify's verdicts at degrees 5, 6 and 7 on each family's

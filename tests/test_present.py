@@ -601,6 +601,24 @@ def test_emit_pg_e_and_rig():
         emit_semigroup_presentation(P2, "nope")
 
 
+def test_emit_unknown_family_refused_before_any_product():
+    """An unknown family is refused before E(S) is listed: no product
+    (203, one x x test per element of P_3, when E(S) came first)."""
+    h = PartitionMonoid(3)
+    calls = 0
+    product = h.product
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return product(x, y)
+
+    h.product = counted
+    with pytest.raises(ValueError, match="^unknown family 'nope'$"):
+        emit_semigroup_presentation(h, "nope")
+    assert calls == 0
+
+
 def test_semigroup_presentation_refuses_a_handle_over_the_cap():
     """The adjacency semigroup of a path on 142 vertices has 142^2 + 1 =
     20,165 elements, past the emission cap of 20,000."""
