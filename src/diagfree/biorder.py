@@ -4,7 +4,6 @@ labels of idempotents."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -140,10 +139,11 @@ def square_at(d: DClassData, rows: tuple[int, int], cols: tuple[int, int]) -> Sq
     return Square(at[(i, j)], at[(i, l)], at[(k, j)], at[(k, l)])
 
 
-def _pair_triples(K: list, e_of_pair: dict) -> list[tuple]:
-    """(u, key(u u*), u*, key(u* u)) for each friendly pair product
-    u = p_i p_j, with keys K: u u* = p_i, u* = p_j p_i and u* u = p_j."""
-    return [(u, K[i], e_of_pair[(j, i)], K[j]) for (i, j), u in e_of_pair.items()]
+def _pair_triples(c: DClassData) -> list[tuple]:
+    """(u, u u*, u*, u* u) for each friendly pair product u = p_i p_j of
+    the class c: u u* = p_i, u* = p_j p_i and u* u = p_j."""
+    P, at = c.projections, c.e_of_pair
+    return [(u, P[i], at[(j, i)], P[j]) for (i, j), u in at.items()]
 
 
 class _WitnessIndex:
@@ -157,43 +157,40 @@ class _WitnessIndex:
     in scan order.  For an idempotent u, u p = p holds iff p lies in u S^1,
     which depends only on the R-class of u; in a regular *-semigroup that
     class holds exactly one projection, q = u u*, and u S^1 = q S^1.  So
-    the pool is grouped by q, and q p = p, i.e. p <= q, is tested once per
-    distinct q and projection p, on projection keys.  Since p* = p, p u = p
-    holds exactly when u* p = p, so each right identity set comes from the
-    left one through the involution; star[b] is the bit of pool[b]*.
-    ends[b] = (key(u u*), key(u* u)) for u = pool[b]; keys are P_D's keys.
+    the pool is grouped by q, and q p = p, i.e. p <= q, is read once per
+    distinct q and projection p off q's θ row as θ_q(p) = p.  The rows are
+    `_conjugations(d)`, whose projections of rank >= r are exactly the q of
+    the pool.  Since p* = p, p u = p holds exactly when u* p = p, so each
+    right identity set comes from the left one through the involution;
+    star[b] is the bit of pool[b]*.  ends[b] = (the θ rows of u u* and of
+    u* u) for u = pool[b].
     """
 
     def __init__(self, d: DClassData):
         h = d.handle
-        key, leq = h.projection_key, h.projection_leq
-        self.keys = [key(p) for p in d.projections]
-        triples = _pair_triples(self.keys, d.e_of_pair)
-        for r in sorted({h.rank(q) for q in h.projections()}):
+        rows = _conjugations(d)
+        triples = _pair_triples(d)
+        for r in sorted({h.rank(q) for q in rows}):
             if r > d.rank:
-                c = dclass_data(h, r)
-                triples += _pair_triples([key(q) for q in c.projections], c.e_of_pair)
+                triples += _pair_triples(dclass_data(h, r))
         triples.sort(key=lambda t: (_nt_of(h, t[0]), h.sort_key(t[0])))
         self.pool = [u for u, _, _, _ in triples]
         bit = {u: 1 << b for b, u in enumerate(self.pool)}
         self.star = [bit[s] for _, _, s, _ in triples]
-        self.ends = [(q, t) for _, q, _, t in triples]
-        # key(q) -> [bits of the pool elements u with u u* = q, bits of their u*]
+        self.ends = [(rows[q], rows[t]) for _, q, _, t in triples]
+        # q -> [bits of the pool elements u with u u* = q, bits of their u*]
         groups: dict[Any, list[int]] = {}
-        for b, (q, _) in enumerate(self.ends):
+        for b, (_, q, _, _) in enumerate(triples):
             g = groups.setdefault(q, [0, 0])
             g[0] |= 1 << b
             g[1] |= self.star[b]
-        self.lid: list[int] = []
-        self.rid: list[int] = []
-        for p in self.keys:
-            lid = rid = 0
-            for q, (lbits, rbits) in groups.items():
-                if leq(p, q):
-                    lid |= lbits
-                    rid |= rbits
-            self.lid.append(lid)
-            self.rid.append(rid)
+        self.lid = [0] * len(d.projections)
+        self.rid = [0] * len(d.projections)
+        for q, (lbits, rbits) in groups.items():
+            for i, t in enumerate(rows[q]):
+                if t == i:
+                    self.lid[i] |= lbits
+                    self.rid[i] |= rbits
 
 
 def _shared_columns(d: DClassData) -> list[tuple[int, int, list[int]]]:
@@ -242,22 +239,16 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
     lid[i] & lid[k] & right[j][l] lies inside rid[l], and dually.
 
     Column j's table holds the bits of need_col[j], the OR of
-    lid[i] & lid[k] over the row pairs (i, k) sharing column j; conj
-    memoises θ.  No rid enters it: the table is read only at a shared
-    column l != j, and c(j, u) = l puts u in rid[l] already, since then
-    at[(i, l)] u = x u u = at[(i, l)].  The tables serve the vertical ANDs
+    lid[i] & lid[k] over the row pairs (i, k) sharing column j, and reads
+    c(j, u) off the θ rows of u u* and u* u in `ends`.  No rid enters it:
+    the table is read only at a shared column l != j, and c(j, u) = l puts
+    u in rid[l] already, since then at[(i, l)] u = x u u = at[(i, l)].  The tables serve the vertical ANDs
     too: friendliness is symmetric, so each candidate's transpose
     (j, l; i, k) is a candidate, and u is a vertical witness of
     (i, k; j, l) iff u* is a horizontal witness of the transpose.
     """
     widx = _WitnessIndex(d)
     lid, rid, pool, star, ends = widx.lid, widx.rid, widx.pool, widx.star, widx.ends
-    keys, theta = widx.keys, d.handle.theta
-    col = {k: j for j, k in enumerate(keys)}
-    # conj(p, i): the index of θ_p(P[i]) in P_D, None if the rank drops.
-    conj = functools.cache(
-        lambda p, i: None if i is None else col.get(theta(p, keys[i]))
-    )
     grids = _shared_columns(d)
 
     need_col = [0] * len(d.lreps)
@@ -277,8 +268,8 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
             todo ^= low
             b = low.bit_length() - 1
             q, s = ends[b]
-            c = conj(s, conj(q, j))
-            if c is not None:
+            c = q[j]
+            if c is not None and (c := s[c]) is not None:
                 table[c] = table.get(c, 0) | low
                 row[c] = row.get(c, 0) | star[b]
 
@@ -311,15 +302,17 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
 # -- linked diamonds / triangles / pairs --------------------------------------
 
 
-def _conjugations(d: DClassData):
-    """(p, row) for each projection p of the monoid, in canonical order:
+def _conjugations(d: DClassData) -> dict:
+    """p -> row for each projection p of rank >= r, in canonical order:
     row[i] = j when θ_p(P[i]) = P[j], None when θ_p(P[i]) leaves P_D.
     The rows come from the handle's `theta_rows` on projection keys, which
-    for P_n and B_n builds each join ker(p) v ker(s) once per kernel."""
+    for P_n and B_n builds each join ker(p) v ker(s) once per kernel.  A
+    projection p of lower rank is left out: rank(p s p) <= rank(p) < r, so
+    its row would be all None."""
     h = d.handle
     key = h.projection_key
-    ps = h.projections()
-    return zip(ps, h.theta_rows(map(key, ps), [key(s) for s in d.projections]))
+    ps = [p for p in h.projections() if h.rank(p) >= d.rank]
+    return dict(zip(ps, h.theta_rows(map(key, ps), [key(s) for s in d.projections])))
 
 
 def _by_image(row: list) -> dict[int, list[int]]:
@@ -346,7 +339,7 @@ def enumerate_linked_diamonds(d: DClassData) -> list[LinkedDiamond]:
     P = d.projections
     fr = d.friendly
     found: dict[tuple, LinkedDiamond] = {}
-    for p, row in _conjugations(d):
+    for p, row in _conjugations(d).items():
         images = _by_image(row)
         for si, vi in enumerate(row):
             if vi is None:
@@ -372,7 +365,7 @@ def linked_triangles(d: DClassData) -> list[tuple]:
     P = d.projections
     fr = d.friendly
     found: dict[tuple, Any] = {}
-    for p, row in _conjugations(d):
+    for p, row in _conjugations(d).items():
         fixed = [s for s, v in enumerate(row) if v == s]
         if not fixed:
             continue

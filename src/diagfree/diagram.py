@@ -431,16 +431,6 @@ def projection_classes(p: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(trans.values())), tuple(sorted(non.values()))
 
 
-def theta(p: tuple, s: tuple) -> tuple:
-    """θ_p(s) = p s p on class keys.  Each middle row of the product graph
-    is joined into the classes of J = p v s, and a J-class of one row
-    meets the same J-class of the other iff it meets a transversal class
-    of s.  So the non-transversal classes of p stay, and the transversal
-    classes of p inside one J-class merge into one class, transversal iff
-    that J-class meets a transversal class of s."""
-    return _conjugate(p, sum(s[0]), _join((*p[0], *p[1]), (*s[0], *s[1])))
-
-
 def _join(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The classes of the join of two equivalences on [n], each given by
     its classes as bitmasks."""
@@ -456,26 +446,20 @@ def _join(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return join
 
 
-def _conjugate(p: tuple, ts: int, join: list[int]) -> tuple:
-    """θ_p(s) from the classes of J = ker(p) v ker(s) and ts, the union of
-    the transversal classes of s (see `theta`)."""
-    tp = sum(p[0])
-    trans, non = [], list(p[1])
+def _conjugate(tp: int, non: tuple, ts: int, join: list[int]) -> tuple:
+    """θ_p(s) = p s p on class keys, from tp and non, the union of the
+    transversal classes of p and its non-transversal classes, ts, the union
+    of the transversal classes of s, and the classes of J = ker(p) v ker(s).
+    Each middle row of the product graph is joined into the classes of J,
+    and a J-class of one row meets the same J-class of the other iff it
+    meets a transversal class of s.  So the non-transversal classes of p
+    stay, and the transversal classes of p inside one J-class merge into
+    one class, transversal iff that J-class meets a transversal class of s."""
+    trans, non = [], list(non)
     for k in join:
         if k & tp:
             (trans if k & ts else non).append(k & tp)
     return tuple(sorted(trans)), tuple(sorted(non))
-
-
-def projection_leq(p: tuple, q: tuple) -> bool:
-    """p <= q, i.e. q p = p, on class keys.  As ker(q p) contains ker(q),
-    each class m of q must lie in a class C of p.  Then the top of q p
-    joins the transversal classes of q inside C, keeps the others apart,
-    and C is transversal in q p iff in p; so q p = p iff m is transversal
-    in q whenever C is transversal in p or C != m."""
-    return set(q[1]) <= set(p[1]) and all(
-        m & c in (0, m) for m in q[0] for c in (*p[0], *p[1])
-    )
 
 
 # -- twisted product -------------------------------------------------------
@@ -557,20 +541,13 @@ class FiniteStarSemigroup:
     def projection_key(self, p):
         return p
 
-    def theta(self, p, s):
-        """θ_p(s) = p s p."""
-        return self.product(self.product(p, s), p)
-
     def theta_rows(self, ps: Iterable, keys: list) -> Iterator[list]:
         """For each projection key p of ps, p's row of θ-images on keys:
-        row[i] = j when θ_p(keys[i]) = keys[j], None when it is not in keys."""
+        row[i] = j when θ_p(keys[i]) = p keys[i] p = keys[j], None when it
+        is not in keys.  p <= q is θ_q(p) = p."""
         index = {s: i for i, s in enumerate(keys)}
         for p in ps:
-            yield [index.get(self.theta(p, s)) for s in keys]
-
-    def projection_leq(self, p, q) -> bool:
-        """p <= q, i.e. q p = p."""
-        return self.product(q, p) == p
+            yield [index.get(self.product(self.product(p, s), p)) for s in keys]
 
     def projections(self) -> list:
         if self._projections is None:
@@ -654,12 +631,11 @@ class PartitionHandleBase(FiniteStarSemigroup):
 
     # No products: the class keys of `projection_classes`.
     projection_key = staticmethod(projection_classes)
-    theta = staticmethod(theta)
-    projection_leq = staticmethod(projection_leq)
 
     def theta_rows(self, ps: Iterable, keys: list) -> Iterator[list]:
-        """As `FiniteStarSemigroup.theta_rows`, with each join
-        ker(p) v ker(s) built once per distinct kernel of p."""
+        """As `FiniteStarSemigroup.theta_rows`, on class keys by
+        `_conjugate`, with each join ker(p) v ker(s) built once per distinct
+        kernel of p."""
         index = {s: i for i, s in enumerate(keys)}
         kers = [(*s[0], *s[1]) for s in keys]
         ts = [sum(s[0]) for s in keys]
@@ -668,7 +644,8 @@ class PartitionHandleBase(FiniteStarSemigroup):
             ker = tuple(sorted((*p[0], *p[1])))
             if ker not in joins:
                 joins[ker] = [_join(ker, k) for k in kers]
-            yield [index.get(_conjugate(p, t, j)) for t, j in zip(ts, joins[ker])]
+            tp, non = sum(p[0]), p[1]
+            yield [index.get(_conjugate(tp, non, t, j)) for t, j in zip(ts, joins[ker])]
 
     def text(self, x: Partition) -> str:
         return x.to_text()

@@ -7,7 +7,6 @@ handles without involution fall back to arbitrary class representatives.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import KeysView
 from dataclasses import dataclass
@@ -154,21 +153,20 @@ def friendly_products(h: FiniteStarSemigroup, P: list) -> dict[tuple[int, int], 
     *-semigroups, 1978), so over the projections of one D-class the map is
     a bijection onto its idempotents.
 
-    One θ test on projection keys per unordered pair decides both orders,
-    and only the friendly pairs are multiplied, in ascending (i, j) order.
-    The precondition, that P lies in one D-class, makes one test enough
-    (every caller passes one class's P_D): if p D q and p q p = p, then
-    (p q)(p q)* = p q p = p, so p q R p; then q p q = (p q)*(p q) is
-    L-related to p q, hence D-related to q, and q p q <= q, so in a finite
-    semigroup q p q = q.  A projection is friendly with itself.
+    The pairs are read off the rows of θ on projection keys: (i, j) is
+    friendly when θ_{p_i}(p_j) = p_i and θ_{p_j}(p_i) = p_j.  Only the
+    friendly pairs are multiplied, in ascending (i, j) order.  A projection
+    is friendly with itself.
     """
-    key, theta = h.projection_key, h.theta
+    key = h.projection_key
     K = [key(p) for p in P]
-    friends = {(i, i) for i in range(len(P))}
-    for i, j in itertools.combinations(range(len(P)), 2):
-        if theta(K[i], K[j]) == K[i]:
-            friends |= {(i, j), (j, i)}
-    return {(i, j): h.product(P[i], P[j]) for i, j in sorted(friends)}
+    rows = list(h.theta_rows(K, K))
+    return {
+        (i, j): h.product(P[i], P[j])
+        for i, row in enumerate(rows)
+        for j, t in enumerate(row)
+        if t == i and rows[j][i] == j
+    }
 
 
 def dclass_data(h: FiniteStarSemigroup, r: int) -> DClassData:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from diagfree import biorder, diagram
+from diagfree import diagram
 from diagfree.biorder import (
     HORIZONTAL,
     LinkedDiamond,
@@ -250,20 +250,21 @@ def test_witness_tables_depend_on_column_only(h, r, shares):
         rows.setdefault(i, []).append(x)
         cols.setdefault(j, []).append(x)
     widx = _WitnessIndex(d)
-    key, theta = h.projection_key, h.theta
-    pindex = {key(q): j for j, q in enumerate(d.projections)}
+    key = h.projection_key
+    P = h.projections()
+    theta = dict(zip(P, h.theta_rows(map(key, P), [key(q) for q in d.projections])))
     shared = 0  # (line, u) with two or more fixed corners and images in E_D
     for u in widx.pool:
         ustar = h.star(u)
-        uu, su = key(h.product(u, ustar)), key(h.product(ustar, u))
+        uu, su = theta[h.product(u, ustar)], theta[h.product(ustar, u)]
         for j, xs in cols.items():
             fixed = [x for x in xs if h.product(u, x) == x]
             images = {col.get(h.product(x, u)) for x in fixed}
             assert len(images) <= 1
             shared += len(fixed) > 1 and images != {None}
             if fixed:
-                qj = key(d.projections[j])
-                assert images == {pindex.get(theta(su, theta(uu, qj)))}
+                t = uu[j]
+                assert images == {None if t is None else su[t]}
         for xs in rows.values():
             fixed = [x for x in xs if h.product(x, u) == x]
             images = [row.get(h.product(u, x)) for x in fixed]
@@ -343,71 +344,69 @@ def test_linked_triangles_make_no_products():
     assert len(linked_triangles(d)) == 992
 
 
+def count_joins(monkeypatch) -> list:
+    """Record each call of `diagram._join`, the costly part of θ on class
+    keys, from now on."""
+    calls = []
+    join = diagram._join
+
+    def counted(a, b):
+        calls.append((a, b))
+        return join(a, b)
+
+    monkeypatch.setattr(diagram, "_join", counted)
+    return calls
+
+
 def test_linked_triangle_scan_builds_one_join_per_kernel(monkeypatch):
     """At (P_4, 0) the 94 projections of P_4 have 15 kernels, and P_D has
     15 projections: the scan builds 15 x 15 = 225 joins ker(p) v ker(s),
     one per kernel and s (1,410 with one per θ)."""
     h = PartitionMonoid(4)
     d = dclass_data(h, 0)
-    calls = 0
-    join = diagram._join
-
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
-        return join(a, b)
-
-    monkeypatch.setattr(diagram, "_join", counted)
+    calls = count_joins(monkeypatch)
     assert len(linked_triangles(d)) == 992
-    assert calls == 225
+    assert len(calls) == 225
 
 
 @pytest.mark.parametrize(
     "monoid, n, r, count",
-    [(PartitionMonoid, 4, 2, 241), (PartitionMonoid, 4, 1, 1366), (BrauerMonoid, 5, 1, 165)],
+    [
+        (PartitionMonoid, 4, 2, 71 + 434),
+        (PartitionMonoid, 4, 1, 505 + 555),
+        (BrauerMonoid, 5, 1, 101 + 390),
+    ],
     ids=["P4r2", "P4r1", "B5r1"],
 )
 def test_square_search_theta_count(monkeypatch, monoid, n, r, count):
-    """The θ evaluations of the square search, one per distinct (p, s)
-    that its column tables ask for.  A table is filled for each bit of its
-    column's need set, so a need rule that asked for more bits than the
-    ANDs can use would show here as more evaluations.  The witness index
-    is built before the count starts: its friendliness tests on the pool
-    classes are pinned by `test_friendliness_theta_count`."""
+    """The joins ker(p) v ker(s) behind the square search's θ values, on a
+    class built before the count starts: first the friendliness tables of
+    the witness pool's classes (`test_friendliness_theta_count`), then one
+    θ table for the class, a join per distinct kernel of the projections of
+    rank >= r and projection of P_D: 14 x 31 at (P_4, 2), 15 x 37 at
+    (P_4, 1) and 26 x 15 at (B_5, 1).  A second θ path, or a table over
+    more projections than the search can read, would show here."""
     h = monoid(n)
     d = dclass_data(h, r)
-    widx = _WitnessIndex(d)
-    monkeypatch.setattr(biorder, "_WitnessIndex", lambda _: widx)
-    calls = []
-    theta = h.theta
-
-    def counted(p, s):
-        calls.append((p, s))
-        return theta(p, s)
-
-    monkeypatch.setattr(h, "theta", counted)
+    calls = count_joins(monkeypatch)
     enumerate_singular_squares(d)
     assert len(calls) == count
 
 
 def test_friendliness_theta_count(monkeypatch):
-    """One θ test per unordered pair of distinct projections of one class:
-    C(31, 2) = 465 for the D-class of P_4 at rank 2, and C(10, 2) = 45 for
-    its witness pool, all in the rank-3 class (rank 4 has one projection)."""
+    """The joins behind the friendliness tables, one per distinct kernel
+    and projection of the class: 14 x 31 = 434 for the D-class of P_4 at
+    rank 2, whose 31 projections have 14 kernels.  Its witness index adds
+    the pool classes' tables, 7 x 10 = 70 at rank 3 and 1 at rank 4, and
+    the class's θ table over the 42 projections of rank >= 2, 14 x 31 =
+    434."""
     h = PartitionMonoid(4)
-    calls = []
-    theta = h.theta
-
-    def counted(p, s):
-        calls.append((p, s))
-        return theta(p, s)
-
-    monkeypatch.setattr(h, "theta", counted)
+    calls = count_joins(monkeypatch)
     d = dclass_data(h, 2)
-    assert len(calls) == 465
+    assert len(calls) == 434
     calls.clear()
     _WitnessIndex(d)
-    assert len(calls) == 45
+    assert len(calls) == 70 + 1 + 434
 
 
 PATH = AdjacencySemigroup("abc", [("a", "b"), ("b", "c")])
@@ -461,17 +460,34 @@ THETA_ROW_CLASSES = {**LINKED_FACT_CLASSES, "path0": (PATH, 0), "C4r0": (C4, 0)}
     ids=[*THETA_ROW_CLASSES, *(f"P5r{r}" for r in range(6))],
 )
 def test_theta_rows_match_theta(h, r):
-    """The handle's rows of θ-images against θ per pair, for every
+    """The handle's rows of θ-images against p s p by products, for every
     projection p of the monoid and every s in P_D: the index of θ_p(s) in
     P_D, or None when it leaves P_D."""
     d = dclass_data(h, r)
-    keys = [h.projection_key(s) for s in d.projections]
-    ps = [h.projection_key(p) for p in h.projections()]
-    want = [
-        [keys.index(t) if (t := h.theta(p, s)) in keys else None for s in keys]
-        for p in ps
-    ]
-    assert list(h.theta_rows(ps, keys)) == want
+    key = h.projection_key
+    index = {s: i for i, s in enumerate(d.projections)}
+    P = h.projections()
+    want = [[index.get(h.product(h.product(p, s), p)) for s in d.projections] for p in P]
+    keys = [key(s) for s in d.projections]
+    assert list(h.theta_rows(map(key, P), keys)) == want
+
+
+@pytest.mark.parametrize("h, r", THETA_ROW_CLASSES.values(), ids=THETA_ROW_CLASSES)
+def test_lower_rank_projections_leave_the_class(h, r):
+    """The premise of the θ table keyed by the projections of rank >= r:
+    for a projection p of lower rank, p s p leaves P_D for every s in
+    P_D, by products, so p's row would be all None; and the R-class
+    projections u u* of the witness pool are exactly the projections of
+    rank >= r, the keys the witness index groups the pool by."""
+    d = dclass_data(h, r)
+    P_D = set(d.projections)
+    for p in h.projections():
+        if h.rank(p) < r:
+            assert all(h.product(h.product(p, s), p) not in P_D for s in P_D)
+    pool = _WitnessIndex(d).pool
+    assert {h.product(u, h.star(u)) for u in pool} == {
+        p for p in h.projections() if h.rank(p) >= r
+    }
 
 
 @pytest.mark.parametrize(
@@ -800,17 +816,6 @@ def linked_digests(h, r) -> tuple:
     return (len(tris), len(dias), *(hashlib.sha256(t.encode()).hexdigest() for t in texts))
 
 
-# A P_5 case peaks near 150 MB, so it runs in a fresh interpreter: a child
-# process's ru_maxrss starts at its parent's peak, which would otherwise
-# count against `test_square_search_memory_p5r2`.
-LINKED_CHILD = """
-import sys
-sys.path.insert(0, sys.argv[1])
-from test_biorder import LINKED_CLASSES, linked_digests
-print(repr(linked_digests(*LINKED_CLASSES[sys.argv[2]])))
-"""
-
-
 @pytest.mark.parametrize(
     "case",
     [
@@ -822,18 +827,7 @@ print(repr(linked_digests(*LINKED_CLASSES[sys.argv[2]])))
 def test_linked_lists_pinned(case):
     """Both linked lists with their witnesses, and both friendly-pair
     presentations, against their digests."""
-    if not case.startswith("5-"):
-        assert linked_digests(*LINKED_CLASSES[case]) == LINKED_DIGESTS[case]
-        return
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", LINKED_CHILD, str(root / "tests"), case],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == repr(LINKED_DIGESTS[case])
+    assert linked_digests(*LINKED_CLASSES[case]) == LINKED_DIGESTS[case]
 
 
 def test_degenerate_square_not_nt_reducing():
@@ -983,21 +977,26 @@ def test_square_entry_holds_keys_only():
 # search peaked at 182 MB (CPython 3.11, x86-64 Linux); with keys only, at
 # 85 MB.
 SEARCH_RSS = """
-import resource
 from diagfree import PartitionMonoid
 from diagfree.biorder import enumerate_singular_squares
 from diagfree.green import dclass_data
 
 squares = enumerate_singular_squares(dclass_data(PartitionMonoid(5), 2))
-print(len(squares), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as status:
+    hwm = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(len(squares), hwm)
 """
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"),
+    reason="reads the peak RSS (VmHWM) from /proc/self/status, which only Linux has",
+)
 def test_square_search_memory_p5r2():
     """The (P_5, 2) square search peaks at <= 150 MB RSS in a fresh
-    interpreter."""
+    interpreter.  The child reads its own VmHWM, which starts anew at
+    exec; its ru_maxrss would start at the peak of the test process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))

@@ -28,9 +28,7 @@ from diagfree.diagram import (
     partition_from_blocks,
     partition_from_text,
     projection_classes,
-    projection_leq,
     r_projection,
-    theta,
     twisted_multiply,
 )
 
@@ -396,15 +394,14 @@ def test_label_projection_test_matches_products(h):
     ids=["P1", "P2", "P3", "P4", "B2", "B3", "B4", "B5", "P5", "B6"],
 )
 def test_class_key_algebra_matches_products(h):
-    """On every pair of projections, theta is p s p and projection_leq is
-    q p == p, as products give them; the handle methods are these kernels."""
+    """On every pair of projections, the handle's θ rows on class keys give
+    p s p as products do, and p <= q, i.e. q p = p, is θ_q(p) = p; the keys
+    are `projection_classes`, one per projection."""
     P = h.projections()
-    key = {p: projection_classes(p) for p in P}
-    assert len(set(key.values())) == len(P)
-    for p in P:
-        for s in P:
-            assert theta(key[p], key[s]) == key[multiply(multiply(p, s), p)]
-            assert projection_leq(key[p], key[s]) == (multiply(s, p) == p)
-    assert (h.projection_key, h.theta, h.projection_leq) == (
-        projection_classes, theta, projection_leq
-    )
+    assert h.projection_key is projection_classes
+    K = [projection_classes(p) for p in P]
+    assert len(set(K)) == len(P)
+    index = {p: i for i, p in enumerate(P)}
+    for q, row in zip(P, h.theta_rows(K, K)):
+        assert row == [index[multiply(multiply(q, s), q)] for s in P]
+        assert [row[i] == i for i in range(len(P))] == [multiply(q, p) == p for p in P]
