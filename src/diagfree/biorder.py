@@ -159,8 +159,8 @@ class _WitnessIndex:
     class holds exactly one projection, q = u u*, and u S^1 = q S^1.  So
     the pool is grouped by q, and q p = p, i.e. p <= q, is read once per
     distinct q and projection p off q's θ row as θ_q(p) = p.  The rows are
-    `_conjugations(d)`, whose projections of rank >= r are exactly the q of
-    the pool.  Since p* = p, p u = p holds exactly when u* p = p, so each
+    `d.theta`, whose projections of rank >= r are exactly the q of the
+    pool.  Since p* = p, p u = p holds exactly when u* p = p, so each
     right identity set comes from the left one through the involution;
     star[b] is the bit of pool[b]*.  ends[b] = (the θ rows of u u* and of
     u* u) for u = pool[b].
@@ -168,7 +168,7 @@ class _WitnessIndex:
 
     def __init__(self, d: DClassData):
         h = d.handle
-        rows = _conjugations(d)
+        rows = d.theta
         triples = _pair_triples(d)
         for r in sorted({h.rank(q) for q in rows}):
             if r > d.rank:
@@ -240,12 +240,13 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
 
     Column j's table holds the bits of need_col[j], the OR of
     lid[i] & lid[k] over the row pairs (i, k) sharing column j, and reads
-    c(j, u) off the θ rows of u u* and u* u in `ends`.  No rid enters it:
-    the table is read only at a shared column l != j, and c(j, u) = l puts
-    u in rid[l] already, since then at[(i, l)] u = x u u = at[(i, l)].  The tables serve the vertical ANDs
-    too: friendliness is symmetric, so each candidate's transpose
-    (j, l; i, k) is a candidate, and u is a vertical witness of
-    (i, k; j, l) iff u* is a horizontal witness of the transpose.
+    c(j, u) off the rows of u u* and u* u in `d.theta`, held in `ends`.  No
+    rid enters it: the table is read only at a shared column l != j, and
+    c(j, u) = l puts u in rid[l] already, since then at[(i, l)] u =
+    x u u = at[(i, l)].  The tables serve the vertical ANDs too:
+    friendliness is symmetric, so each candidate's transpose (j, l; i, k)
+    is a candidate, and u is a vertical witness of (i, k; j, l) iff u* is
+    a horizontal witness of the transpose.
     """
     widx = _WitnessIndex(d)
     lid, rid, pool, star, ends = widx.lid, widx.rid, widx.pool, widx.star, widx.ends
@@ -302,19 +303,6 @@ def enumerate_singular_squares(d: DClassData) -> list[SquareEntry]:
 # -- linked diamonds / triangles / pairs --------------------------------------
 
 
-def _conjugations(d: DClassData) -> dict:
-    """p -> row for each projection p of rank >= r, in canonical order:
-    row[i] = j when θ_p(P[i]) = P[j], None when θ_p(P[i]) leaves P_D.
-    The rows come from the handle's `theta_rows` on projection keys, which
-    for P_n and B_n builds each join ker(p) v ker(s) once per kernel.  A
-    projection p of lower rank is left out: rank(p s p) <= rank(p) < r, so
-    its row would be all None."""
-    h = d.handle
-    key = h.projection_key
-    ps = [p for p in h.projections() if h.rank(p) >= d.rank]
-    return dict(zip(ps, h.theta_rows(map(key, ps), [key(s) for s in d.projections])))
-
-
 def _by_image(row: list) -> dict[int, list[int]]:
     """w -> the indices u with row[u] = w, ascending, for the w in P_D."""
     out: dict[int, list[int]] = {}
@@ -339,7 +327,7 @@ def enumerate_linked_diamonds(d: DClassData) -> list[LinkedDiamond]:
     P = d.projections
     fr = d.friendly
     found: dict[tuple, LinkedDiamond] = {}
-    for p, row in _conjugations(d).items():
+    for p, row in d.theta.items():
         images = _by_image(row)
         for si, vi in enumerate(row):
             if vi is None:
@@ -365,7 +353,7 @@ def linked_triangles(d: DClassData) -> list[tuple]:
     P = d.projections
     fr = d.friendly
     found: dict[tuple, Any] = {}
-    for p, row in _conjugations(d).items():
+    for p, row in d.theta.items():
         fixed = [s for s, v in enumerate(row) if v == s]
         if not fixed:
             continue
@@ -394,9 +382,9 @@ def is_linked_pair(h: FiniteStarSemigroup, p, s, u) -> bool:
 def is_linked_diamond(h: FiniteStarSemigroup, d: DClassData, s, u, v, w, p) -> bool:
     """(s, u; v, w) over P_D is linked by p; False when a corner lies
     outside P_D."""
-    fr = d.friendly
+    fr, at = d.friendly, d.pindex
     try:
-        i, j, k, l = map(d.proj_index, (s, u, v, w))
+        i, j, k, l = at[s], at[u], at[v], at[w]
     except KeyError:
         return False
     if not ((i, k) in fr and (i, l) in fr and (j, k) in fr and (j, l) in fr):

@@ -64,11 +64,15 @@ class DClassData:
     The vertices are the R- and L-classes: for star handles `projections`
     indexes both.  The edges are the idempotents: `e_of_pair` maps each
     friendly index pair (i, j), whose H-class is a group, to the unique
-    idempotent p_i p_j in it, in canonical order of E_D.  Every other fact
-    is read off these on first use: `friendly` (a view of the pairs),
-    `idempotents`, `size`, `strata`, the projection index, and `row_cols`,
-    the ascending columns of each row.  `rank` is the class's `h.rank`: on
-    an adjacency semigroup 0 for the zero and 1 for the non-zero class.
+    idempotent p_i p_j in it, in canonical order of E_D.  `theta` is the
+    class's one θ table, θ_p(s) = p s p: row[i] = j when θ_p(P[i]) = P[j],
+    None when it leaves P_D, for each projection p of rank >= r in
+    canonical order (a lower p has rank(p s p) < r); empty without an
+    involution.  Every other fact is read off these on first use:
+    `friendly` (a view of the pairs), `idempotents`, `size`, `strata`,
+    `pindex`, and `row_cols`, the ascending columns of each row.  `rank` is
+    the class's `h.rank`: on an adjacency semigroup 0 for the zero and 1
+    for the non-zero class.
 
     `size` is |D| = |rows| |cols| r!, read off the indices: the R- and
     L-classes of D index its H-classes, which all have the order of a group
@@ -82,6 +86,7 @@ class DClassData:
     projections: list          # P_D (star handles); R-class reps otherwise
     lreps: list                # == projections for star handles
     e_of_pair: dict[tuple[int, int], Any]  # in canonical order of E_D
+    theta: dict[Any, list]     # projection of rank >= r -> θ row on P_D
 
     @property
     def size(self) -> int:
@@ -122,11 +127,8 @@ class DClassData:
         return [x for x in h.elements() if h.rank(x) == self.rank]
 
     @cached_property
-    def _pindex(self) -> dict:
+    def pindex(self) -> dict:
         return {p: i for i, p in enumerate(self.projections)}
-
-    def proj_index(self, p) -> int:
-        return self._pindex[p]
 
     @staticmethod
     def _rkey(a):
@@ -143,7 +145,7 @@ class DClassData:
         )
 
 
-def friendly_products(h: FiniteStarSemigroup, P: list) -> dict[tuple[int, int], Any]:
+def friendly_products(h: FiniteStarSemigroup, P: list, rows: list) -> dict[tuple, Any]:
     """p_i p_j for each friendly pair (i, j) of the projections P of one
     D-class: p_i p_j p_i = p_i and p_j p_i p_j = p_j.
 
@@ -153,14 +155,11 @@ def friendly_products(h: FiniteStarSemigroup, P: list) -> dict[tuple[int, int], 
     *-semigroups, 1978), so over the projections of one D-class the map is
     a bijection onto its idempotents.
 
-    The pairs are read off the rows of θ on projection keys: (i, j) is
-    friendly when θ_{p_i}(p_j) = p_i and θ_{p_j}(p_i) = p_j.  Only the
-    friendly pairs are multiplied, in ascending (i, j) order.  A projection
-    is friendly with itself.
+    The pairs are read off rows[i], P's row of θ_{p_i} in `DClassData.theta`:
+    (i, j) is friendly when θ_{p_i}(p_j) = p_i and θ_{p_j}(p_i) = p_j.
+    Only the friendly pairs are multiplied, in ascending (i, j) order.  A
+    projection is friendly with itself.
     """
-    key = h.projection_key
-    K = [key(p) for p in P]
-    rows = list(h.theta_rows(K, K))
     return {
         (i, j): h.product(P[i], P[j])
         for i, row in enumerate(rows)
@@ -173,8 +172,9 @@ def dclass_data(h: FiniteStarSemigroup, r: int) -> DClassData:
     """Assemble the D-class of rank r, the class whose elements x have
     h.rank(x) == r; a rank that names no class raises `EmptyClassError`.
 
-    For a star handle P_D is the class's part of `h.projections()` and
-    E_D the products of its friendly pairs (`friendly_products`), so no
+    For a star handle P_D is the class's part of `h.projections()`, `theta`
+    the handle's `theta_rows` on projection keys, and E_D the products of
+    the friendly pairs read off P_D's rows (`friendly_products`), so no
     element outside P_D is tested for idempotency.  A handle without
     involution takes E_D from `h.idempotents()` and indexes rows and
     columns by the kernel and cokernel keys of its rank-r idempotents: in
@@ -191,11 +191,19 @@ def dclass_data(h: FiniteStarSemigroup, r: int) -> DClassData:
     filter over the whole monoid."""
     if h.has_star:
         projections = [p for p in h.projections() if h.rank(p) == r]
-        lreps = projections
-        pairs = friendly_products(h, projections).items()
     else:
         rank_idem = [e for e in h.idempotents() if h.rank(e) == r]
         projections = sorted({DClassData._rkey(e) for e in rank_idem})
+    if not projections:
+        raise EmptyClassError(f"{h.describe()} has no elements of rank {r}")
+    if h.has_star:
+        key = h.projection_key
+        ps = [p for p in h.projections() if h.rank(p) >= r]
+        theta = dict(zip(ps, h.theta_rows(map(key, ps), [key(s) for s in projections])))
+        lreps = projections
+        pairs = friendly_products(h, projections, [theta[p] for p in projections]).items()
+    else:
+        theta = {}
         lreps = sorted({DClassData._lkey(e) for e in rank_idem})
         rindex = {k: i for i, k in enumerate(projections)}
         lindex = {k: j for j, k in enumerate(lreps)}
@@ -203,10 +211,8 @@ def dclass_data(h: FiniteStarSemigroup, r: int) -> DClassData:
             ((rindex[DClassData._rkey(e)], lindex[DClassData._lkey(e)]), e)
             for e in rank_idem
         ]
-    if not projections:
-        raise EmptyClassError(f"{h.describe()} has no elements of rank {r}")
     e_of_pair = dict(sorted(pairs, key=lambda item: h.sort_key(item[1])))
-    return DClassData(h, r, projections, lreps, e_of_pair)
+    return DClassData(h, r, projections, lreps, e_of_pair, theta)
 
 
 def sandwich_set(h: FiniteStarSemigroup, e, f) -> list:

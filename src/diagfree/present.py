@@ -195,7 +195,7 @@ def presn_pg_linked(
     """Presentation on generators a_{p,q} for friendly pairs with one
     quotient relation a_{s,v}^-1 a_{s,w} a_{u,w}^-1 a_{u,v} per
     non-degenerate linked diamond (s,u;v,w)."""
-    at = d._pindex
+    at = d.pindex
 
     def quotient(gid):
         for dia in diamonds:
@@ -213,7 +213,7 @@ def presn_pg_triangles(
 ) -> GroupPresentation:
     """Variant whose quotient relations are a_{u,s} a_{s,w} = a_{u,w} over
     the linked triangles."""
-    at = d._pindex
+    at = d.pindex
 
     def quotient(gid):
         for s, u, w, _p in triangles:

@@ -391,7 +391,7 @@ def criterion_14() -> CriterionResult:
             s, uq = multiply(e, involution(e)), multiply(g, involution(g))
             v, w = multiply(involution(e), e), multiply(involution(f), f)
             hyp = all(
-                (d.proj_index(x), d.proj_index(y)) in fr
+                (d.pindex[x], d.pindex[y]) in fr
                 for x, y in ((s, v), (s, w), (uq, v), (uq, w))
             )
             if not hyp:

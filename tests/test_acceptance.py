@@ -2,11 +2,12 @@
 line and comparing the criterion's detail with the line `diagfree verify
 --verbose` printed when it was pinned, so a change to any verdict, count or
 evidence line of the suite shows here.  The slow degree-5 extension of
-criterion 8 is marked `slow` and excluded from the default run."""
+criterion 8 is marked `slow` and excluded from the default run.  The last
+test counts the θ tables the whole suite builds."""
 
 import pytest
 
-from diagfree import verify
+from diagfree import biorder, cli, diagram, green, verify
 
 
 def _check(result, detail):
@@ -168,3 +169,33 @@ DETAIL_17 = "orders 3, 6; snf [1, 6]"
 
 def test_criterion_17_tooling_sanity():
     _check(verify.criterion_17(), DETAIL_17)
+
+
+def test_one_theta_table_per_class(monkeypatch):
+    """Over the whole suite, slow criteria included, the handles' θ rows
+    are built once per D-class: `theta_rows` is called exactly once for
+    each `dclass_data` call on a handle with involution, and no other
+    stage builds θ rows (56 calls when the square search and each linked
+    scan built their own table)."""
+    for cached in (verify.monoid, verify.dclass, verify.squares):
+        cached.cache_clear()
+    counts = {"theta_rows": 0, "dclass_data": 0}
+    for cls in (diagram.FiniteStarSemigroup, diagram.PartitionHandleBase):
+        def counted(self, ps, keys, original=cls.theta_rows):
+            counts["theta_rows"] += 1
+            return original(self, ps, keys)
+
+        monkeypatch.setattr(cls, "theta_rows", counted)
+    build = green.dclass_data
+
+    def spy(h, r):
+        counts["dclass_data"] += h.has_star
+        return build(h, r)
+
+    for module in (green, biorder, cli, verify):
+        monkeypatch.setattr(module, "dclass_data", spy)
+    results = verify.run_all(include_slow=True)
+    for cached in (verify.monoid, verify.dclass, verify.squares):
+        cached.cache_clear()
+    assert all(res.ok for res in results)
+    assert counts == {"theta_rows": 36, "dclass_data": 36}

@@ -360,32 +360,38 @@ def count_joins(monkeypatch) -> list:
 
 def test_linked_triangle_scan_builds_one_join_per_kernel(monkeypatch):
     """At (P_4, 0) the 94 projections of P_4 have 15 kernels, and P_D has
-    15 projections: the scan builds 15 x 15 = 225 joins ker(p) v ker(s),
-    one per kernel and s (1,410 with one per θ)."""
+    15 projections: the class build's θ table takes 15 x 15 = 225 joins
+    ker(p) v ker(s), one per kernel and s (1,410 with one per θ), and
+    the scans read that table, so neither builds a join (225 each when
+    every scan built its own table)."""
     h = PartitionMonoid(4)
-    d = dclass_data(h, 0)
     calls = count_joins(monkeypatch)
-    assert len(linked_triangles(d)) == 992
+    d = dclass_data(h, 0)
     assert len(calls) == 225
+    calls.clear()
+    assert len(linked_triangles(d)) == 992
+    enumerate_linked_diamonds(d)
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize(
     "monoid, n, r, count",
     [
-        (PartitionMonoid, 4, 2, 71 + 434),
-        (PartitionMonoid, 4, 1, 505 + 555),
-        (BrauerMonoid, 5, 1, 101 + 390),
+        (PartitionMonoid, 4, 2, 70 + 1),
+        (PartitionMonoid, 4, 1, 434 + 70 + 1),
+        (BrauerMonoid, 5, 1, 110 + 1),
     ],
     ids=["P4r2", "P4r1", "B5r1"],
 )
 def test_square_search_theta_count(monkeypatch, monoid, n, r, count):
     """The joins ker(p) v ker(s) behind the square search's θ values, on a
-    class built before the count starts: first the friendliness tables of
-    the witness pool's classes (`test_friendliness_theta_count`), then one
-    θ table for the class, a join per distinct kernel of the projections of
-    rank >= r and projection of P_D: 14 x 31 at (P_4, 2), 15 x 37 at
-    (P_4, 1) and 26 x 15 at (B_5, 1).  A second θ path, or a table over
-    more projections than the search can read, would show here."""
+    class built before the count starts: only the θ tables of the witness
+    pool's higher classes (`test_friendliness_theta_count`), a join per
+    distinct kernel of each class's projections of rank >= its rank and
+    projection of its P_D: ranks 3 and 4 at (P_4, 2), ranks 2 to 4 at
+    (P_4, 1), ranks 3 and 5 at (B_5, 1).  The class's own table is read
+    off `d.theta` (505, 1,060 and 491 when the search built it again).  A
+    second θ path would show here."""
     h = monoid(n)
     d = dclass_data(h, r)
     calls = count_joins(monkeypatch)
@@ -394,19 +400,19 @@ def test_square_search_theta_count(monkeypatch, monoid, n, r, count):
 
 
 def test_friendliness_theta_count(monkeypatch):
-    """The joins behind the friendliness tables, one per distinct kernel
-    and projection of the class: 14 x 31 = 434 for the D-class of P_4 at
-    rank 2, whose 31 projections have 14 kernels.  Its witness index adds
-    the pool classes' tables, 7 x 10 = 70 at rank 3 and 1 at rank 4, and
-    the class's θ table over the 42 projections of rank >= 2, 14 x 31 =
-    434."""
+    """The joins behind the class's θ table, one per distinct kernel of
+    its projections of rank >= r and projection of P_D: 14 x 31 = 434 for
+    the D-class of P_4 at rank 2, whose 42 projections of rank >= 2 have
+    14 kernels; friendliness reads P_D's rows of it.  Its witness index
+    adds only the pool classes' tables, 7 x 10 = 70 at rank 3 and 1 at
+    rank 4 (505 when it built the class's table again)."""
     h = PartitionMonoid(4)
     calls = count_joins(monkeypatch)
     d = dclass_data(h, 2)
     assert len(calls) == 434
     calls.clear()
     _WitnessIndex(d)
-    assert len(calls) == 70 + 1 + 434
+    assert len(calls) == 70 + 1
 
 
 PATH = AdjacencySemigroup("abc", [("a", "b"), ("b", "c")])
@@ -473,6 +479,18 @@ def test_theta_rows_match_theta(h, r):
 
 
 @pytest.mark.parametrize("h, r", THETA_ROW_CLASSES.values(), ids=THETA_ROW_CLASSES)
+def test_class_theta_matches_products(h, r):
+    """The class's one θ table: its keys are the projections of rank >= r
+    in canonical order, and each row holds, for s in P_D, the index of
+    p s p in P_D by products, or None when it leaves P_D."""
+    d = dclass_data(h, r)
+    index = {s: i for i, s in enumerate(d.projections)}
+    assert list(d.theta) == [p for p in h.projections() if h.rank(p) >= r]
+    for p, row in d.theta.items():
+        assert row == [index.get(h.product(h.product(p, s), p)) for s in d.projections]
+
+
+@pytest.mark.parametrize("h, r", THETA_ROW_CLASSES.values(), ids=THETA_ROW_CLASSES)
 def test_lower_rank_projections_leave_the_class(h, r):
     """The premise of the θ table keyed by the projections of rank >= r:
     for a projection p of lower rank, p s p leaves P_D for every s in
@@ -517,7 +535,7 @@ def test_linked_scans_match_definition_oracle(h, r):
         for (si, s), (ui, u) in itertools.product(enumerate(P), repeat=2):
             v, w = conj[si], conj[ui]
             if is_linked_diamond(h, d, s, u, v, w, p):
-                vi, wi = d.proj_index(v), d.proj_index(w)
+                vi, wi = d.pindex[v], d.pindex[w]
                 key = min((si, ui, vi, wi), (ui, si, wi, vi))
                 dias.setdefault(key, LinkedDiamond(s, u, v, w, p))
                 if v == s:
@@ -601,8 +619,8 @@ def test_diamond_implies_vfw():
     for r in (0, 1):
         d = dclass_data(P3, r)
         for dia in enumerate_linked_diamonds(d):
-            i = d.proj_index(dia.v)
-            j = d.proj_index(dia.w)
+            i = d.pindex[dia.v]
+            j = d.pindex[dia.w]
             assert (i, j) in d.friendly
 
 

@@ -159,6 +159,15 @@ def test_strata_partition_and_tn_corner(h, r):
             assert all(len(c) == 1 for c in e.coker())
 
 
+@pytest.mark.parametrize("r", range(1, 5))
+def test_tn_class_has_empty_theta_table(r):
+    """T_n has no involution, so no projections: its classes get an empty
+    θ table, and their E_D comes from the rank-r idempotents."""
+    d = dclass_data(TransformationMonoid(4), r)
+    assert d.theta == {}
+    assert d.idempotents
+
+
 def test_sandwich_sets():
     h = PartitionMonoid(3)
     E = h.idempotents()
@@ -305,11 +314,11 @@ def two_product_friendly(h, P):
     ids=lambda x: {id(PATH): "path", id(C4): "C4"}.get(id(x)) or getattr(x, "describe", x.__repr__)(),
 )
 def test_friendly_products_match_two_product_definition(h, r):
-    """One θ test per unordered pair of one class, and one product per
-    friendly pair, give the friendly pairs of the definition on each
-    class."""
-    P = dclass_data(h, r).projections
-    got = friendly_products(h, P)
+    """P_D's rows of the class's θ table, and one product per friendly
+    pair, give the friendly pairs of the definition on each class."""
+    d = dclass_data(h, r)
+    P = d.projections
+    got = friendly_products(h, P, [d.theta[p] for p in P])
     assert got == two_product_friendly(h, P)
     assert list(got) == sorted(got)
 
@@ -319,7 +328,9 @@ def test_friendly_products_one_product_per_friendly_pair(r):
     """`friendly_products` multiplies the friendly pairs of P_4's class of
     rank r, each once, in ascending (i, j) order, and nothing else."""
     h = PartitionMonoid(4)
-    P = dclass_data(h, r).projections
+    d = dclass_data(h, r)
+    P = d.projections
+    rows = [d.theta[p] for p in P]
     calls = []
     product = h.product
 
@@ -328,7 +339,7 @@ def test_friendly_products_one_product_per_friendly_pair(r):
         return product(x, y)
 
     h.product = counted
-    got = friendly_products(h, P)
+    got = friendly_products(h, P, rows)
     assert calls == [(P[i], P[j]) for i, j in got]
     assert list(got) == sorted(got)
 
@@ -402,8 +413,8 @@ def test_friendly_products_get_one_class(h, r, ranks, products, monkeypatch):
     calls = []
     friendly = green.friendly_products
 
-    def spy(handle, P):
-        out = friendly(handle, P)
+    def spy(handle, P, rows):
+        out = friendly(handle, P, rows)
         calls.append(({handle.rank(p) for p in P}, len(out)))
         return out
 

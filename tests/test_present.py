@@ -12,7 +12,7 @@ from diagfree.biorder import (
     enumerate_singular_squares,
     linked_triangles,
 )
-from diagfree.diagram import PartitionMonoid, involution
+from diagfree.diagram import BrauerMonoid, PartitionMonoid, involution
 from diagfree.green import dclass_data
 from diagfree.ghgraph import (
     build_gh_graph,
@@ -26,7 +26,7 @@ from diagfree.ghgraph import (
     t_s,
     p0_projections,
 )
-from diagfree.groupid import abelianization, todd_coxeter
+from diagfree.groupid import abelianization, identify, subgroup_hints, todd_coxeter
 from diagfree.present import (
     GroupPresentation,
     Word,
@@ -180,6 +180,36 @@ def test_square_linked_presentations_agree_d31():
     )
     v2 = identify(presn_pg_linked(d, enumerate_linked_diamonds(d), friendliness_tree(d, 0)))
     assert v1.order == v2.order == 1
+
+
+# (n, r) -> (the verdict of pg, pg-linked and pg-triangles, its
+# abelianization, the ig verdict or None).  IG at (6, 2) reads unknown.
+BRAUER_VERDICTS = {
+    (5, 1): ("finite of order 2", "Z_2", "Z (free rank 1)"),
+    (6, 0): ("finite of order 2", "Z_2", "Z (free rank 1)"),
+    (6, 2): ("finite of order 4", "Z_2 x Z_2", None),
+}
+
+
+@pytest.mark.parametrize("n, r", BRAUER_VERDICTS, ids=lambda x: str(x))
+def test_brauer_verdicts_pinned(n, r):
+    """`identify` on B_n classes, each family over its default tree: the
+    three PG constructions agree, on the verdict and on the abelianization
+    line of its evidence."""
+    d = dclass_data(BrauerMonoid(n), r)
+    squares = enumerate_singular_squares(d)
+
+    def verdict(family):
+        pres = subgroup_presentation(d, family, squares=squares)
+        return identify(pres, subgroup_hints(d, family))
+
+    pg, ab, ig = BRAUER_VERDICTS[(n, r)]
+    for family in ("pg", "pg-linked", "pg-triangles"):
+        v = verdict(family)
+        assert v.describe() == pg, family
+        assert f"abelianization: {ab}" in v.evidence, family
+    if ig is not None:
+        assert verdict("ig").describe() == ig
 
 
 def test_tietze_simple_cases():
