@@ -57,6 +57,11 @@ def left_ideal(h: FiniteStarSemigroup, a) -> frozenset:
 # -- D-class data -----------------------------------------------------------
 
 
+def gen_name_for_idempotent(h: FiniteStarSemigroup, e) -> str:
+    """The generator a_e of a group presentation, named by e's text."""
+    return f"a[{h.text(e)}]"
+
+
 @dataclass
 class DClassData:
     """A regular D-class as its Graham-Houghton graph.
@@ -70,9 +75,11 @@ class DClassData:
     canonical order (a lower p has rank(p s p) < r); empty without an
     involution.  Every other fact is read off these on first use:
     `friendly` (a view of the pairs), `idempotents`, `size`, `strata`,
-    `pindex`, and `row_cols`, the ascending columns of each row.  `rank` is
-    the class's `h.rank`: on an adjacency semigroup 0 for the zero and 1
-    for the non-zero class.
+    `pindex`, `row_cols`, the ascending columns of each row, and
+    `gen_names`, the name of each idempotent's generator, rendered once
+    per class (the IG and PG presentations and IG hints of (P_4, 2) render
+    332 texts, not 994).  `rank` is the class's `h.rank`: on an adjacency
+    semigroup 0 for the zero and 1 for the non-zero class.
 
     `size` is |D| = |rows| |cols| r!, read off the indices: the R- and
     L-classes of D index its H-classes, which all have the order of a group
@@ -96,6 +103,11 @@ class DClassData:
     def idempotents(self) -> list:
         """E_D in canonical order."""
         return list(self.e_of_pair.values())
+
+    @cached_property
+    def gen_names(self) -> tuple[str, ...]:
+        """The generator names of E_D, in order, for every presentation."""
+        return tuple(gen_name_for_idempotent(self.handle, e) for e in self.idempotents)
 
     @property
     def friendly(self) -> KeysView[tuple[int, int]]:

@@ -9,14 +9,9 @@ from dataclasses import dataclass, field
 
 from .biorder import label
 from .diagram import PartitionMonoid, bfs_edges
-from .green import DClassData
+from .green import DClassData, gen_name_for_idempotent
 from .ghgraph import p1_projections
-from .present import (
-    GroupPresentation,
-    SimplifyResult,
-    gen_name_for_idempotent,
-    tietze_simplify,
-)
+from .present import GroupPresentation, SimplifyResult, tietze_simplify
 
 # -- Smith normal form --------------------------------------------------------
 
@@ -293,7 +288,7 @@ def subgroup_hints(
     h, r = d.handle, d.rank
     if family not in ("ig", "pg") or not isinstance(h, PartitionMonoid) or r < 1:
         return IdentifyHints(max_cosets=max_cosets)
-    labels = {gen_name_for_idempotent(h, e): label(e) for e in d.idempotents}
+    labels = dict(zip(d.gen_names, map(label, d.idempotents)))
     quot = ()
     if family == "ig" and r <= h.n - 2:
         quot = (gen_name_for_idempotent(h, p1_projections(h.n, r)[0]),)

@@ -36,6 +36,7 @@ from .diagram import (
 from .green import (
     d_related,
     dclass_data,
+    gen_name_for_idempotent,
     l_related,
     left_ideal,
     r_related,
@@ -51,12 +52,7 @@ from .groupid import (
     subgroup_hints,
     todd_coxeter,
 )
-from .present import (
-    GroupPresentation,
-    gen_name_for_idempotent,
-    subgroup_presentation,
-    tietze_simplify,
-)
+from .present import GroupPresentation, subgroup_presentation, tietze_simplify
 
 
 @dataclass

@@ -18,7 +18,6 @@ from diagfree.biorder import (
     SquareEntry,
     _shared_columns,
     _WitnessIndex,
-    _nt_of,
     enumerate_linked_diamonds,
     enumerate_singular_squares,
     f_set,
@@ -31,11 +30,9 @@ from diagfree.biorder import (
     is_ud_singular,
     is_coxeter_idempotent,
     label,
-    label_prime,
     linked_triangles,
     nt_reducing_square_for,
     projection_nt_square,
-    scale_down,
     square_at,
     witness_orientations,
 )
@@ -53,7 +50,7 @@ from diagfree.diagram import (
 from diagfree.ghgraph import friendliness_tree
 from diagfree.green import dclass_data, l_related, r_related
 from diagfree.groupid import perm_inv
-from diagfree.present import presn_pg_linked, presn_pg_triangles, to_cas_text
+from diagfree.present import _square_relators, presn_pg_linked, presn_pg_triangles, to_cas_text
 
 P2 = PartitionMonoid(2)
 P3 = PartitionMonoid(3)
@@ -549,7 +546,8 @@ def reference_witness_index(d):
     h.idempotents(), grouping the pool by the products u u*."""
     h = d.handle
     pool = [u for u in h.idempotents() if h.rank(u) >= d.rank]
-    pool = sorted(pool, key=lambda u: (_nt_of(h, u), h.sort_key(u)))
+    nt = {u: u.nt() if isinstance(u, diagram.Partition) else 0 for u in pool}
+    pool = sorted(pool, key=lambda u: (nt[u], h.sort_key(u)))
     bit = {u: 1 << b for b, u in enumerate(pool)}
     groups = {}
     for b, u in enumerate(pool):
@@ -848,6 +846,22 @@ def test_linked_lists_pinned(case):
     assert linked_digests(*LINKED_CLASSES[case]) == LINKED_DIGESTS[case]
 
 
+@pytest.mark.parametrize(
+    "case", [case for case in LINKED_CLASSES if not case.startswith("5-")]
+)
+def test_square_relators_have_four_distinct_generators(case):
+    """Each square relator's four letters are four distinct generators, as
+    a non-degenerate square has i != k and j != l: the relators need no
+    free reduction."""
+    d = dclass_data(*LINKED_CLASSES[case])
+    gid = {pair: g for g, pair in enumerate(d.e_of_pair, 1)}
+    squares = enumerate_singular_squares(d)
+    relators = _square_relators(squares, gid)
+    assert len(relators) == len({(s.rows, s.cols) for s in squares})
+    for w in relators:
+        assert len({abs(x) for x in w}) == 4
+
+
 def test_degenerate_square_not_nt_reducing():
     p = full_domain_projection(2, [{1, 2}])
     assert not is_nt_reducing(Square(p, p, p, p))
@@ -895,6 +909,55 @@ def test_nt_reducing_ehresmann_instance_d41():
         assert sq.h == e
         assert is_nt_reducing(sq)
         assert witness_orientations(P4, sq, u)
+
+
+# -- the label's definition, the reference for `label` --------------------
+
+
+def label_prime(e):
+    """Partial bijection pairing minima of the two halves of each transversal:
+    the first top point and the first bottom point of each label found in
+    both rows, ascending by top point as the top labels are canonical."""
+    n, labels = e.n, e.labels
+    top = {}
+    for i, x in enumerate(labels[:n], 1):
+        top.setdefault(x, i)
+    bottom = {}
+    for i, x in enumerate(labels[n:], 1):
+        if x in top:
+            bottom.setdefault(x, i)
+    return tuple((i, bottom[x]) for x, i in top.items() if x in bottom)
+
+
+def scale_down(pairs):
+    """Compress a partial bijection to a permutation of [r] (0-based images)."""
+    tops = sorted(a for a, _ in pairs)
+    bots = sorted(b for _, b in pairs)
+    trank = {x: i for i, x in enumerate(tops)}
+    brank = {x: i for i, x in enumerate(bots)}
+    perm = [0] * len(pairs)
+    for a, b in pairs:
+        perm[trank[a]] = brank[b]
+    return tuple(perm)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [PartitionMonoid(n) for n in range(1, 5)] + [BrauerMonoid(n) for n in range(2, 6)],
+    ids=[f"P{n}" for n in range(1, 5)] + [f"B{n}" for n in range(2, 6)],
+)
+def test_label_matches_scaled_down_label_prime(h):
+    """The one-scan label equals its definition on every element of rank
+    >= 1, and is undefined at rank 0."""
+    ranked = 0
+    for e in h.elements():
+        if e.rank() >= 1:
+            assert label(e) == scale_down(label_prime(e))
+            ranked += 1
+        else:
+            with pytest.raises(ValueError):
+                label(e)
+    assert ranked
 
 
 def test_label_worked_example_e53():

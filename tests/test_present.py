@@ -448,7 +448,7 @@ def _random_presentation(rng):
 
 def _assert_matches_reference(p):
     """tietze_simplify is the collapse followed by the reference loop."""
-    relators, record = present._collapse(p)
+    relators, record = present._collapse(p, present._name_ranks(p.generators))
     collapsed = present._finish(p.generators, relators.values(), record).presentation
     want, complete, eliminations = reference_tietze_simplify(collapsed)
     assert complete
@@ -464,7 +464,7 @@ def _assert_collapse_sound(p):
     when the record is substituted into it.  The abelianization is kept;
     it is compared only up to 250 input relators, beyond which the input's
     Smith form takes seconds."""
-    relators, record = present._collapse(p)
+    relators, record = present._collapse(p, present._name_ranks(p.generators))
     alive = set(range(1, len(p.generators) + 1))
     for g, value in record:
         alive.remove(g)
@@ -503,6 +503,66 @@ def test_tietze_matches_reference_random():
         p = _random_presentation(rng)
         _assert_matches_reference(p)
         _assert_collapse_sound(p)
+
+
+# (presentation, the number of eliminations the collapse makes, the full
+# record): names that sort opposite to index order, and names shared by
+# two generators.  Each identification keeps the generator that comes
+# last in the order of (name, index).
+NAME_ORDER_CASES = [
+    (
+        GroupPresentation(("e", "d", "c", "b", "a"), ((5,), (1, -2), (3, 4), (1, 1, 3, 3, 3))),
+        3,
+        ((5, ()), (2, (1,)), (4, (-3,))),
+    ),
+    (
+        GroupPresentation(("e", "d", "c", "b", "a"), ((1, -2), (2, 3, 4), (4, -5), (3, 5, 3))),
+        2,
+        ((2, (1,)), (5, (4,)), (1, (-4, -3)), (4, (-3, -3))),
+    ),
+    (GroupPresentation(("x", "y", "x"), ((1, -3), (2, 3, 2, 3))), 1, ((1, (3,)),)),
+    # Only the general move applies, and it ties between generators 1 and
+    # 2, both named x: the key of (2, 3, 3) is less than that of (2, 2, 1),
+    # so generator 2 goes first, although its index is the larger.
+    (
+        GroupPresentation(("x", "x", "y"), ((1, 1, 3), (2, 3, 3), (2, 2, 1))),
+        0,
+        ((2, (-3, -3)), (1, (3, 3, 3, 3))),
+    ),
+]
+
+
+@pytest.mark.parametrize("p, collapsed, record", NAME_ORDER_CASES)
+def test_tietze_ties_follow_names(p, collapsed, record):
+    """The collapse and the plain loop order generators by (name, index),
+    through integer ranks, and the general move breaks a tie of names by
+    relator key before index, as the reference does."""
+    _, made = present._collapse(p, present._name_ranks(p.generators))
+    assert made == list(record[:collapsed])
+    want, complete, eliminations = reference_tietze_simplify(p)
+    assert complete
+    res = tietze_simplify(p)
+    assert res.presentation == want
+    assert res.record == record and eliminations == len(record)
+    _assert_matches_reference(p)
+
+
+def test_names_rendered_once_per_class():
+    """Both presentations of one class and its IG hints render each
+    idempotent's text once, plus the quotient generator's."""
+    h = PartitionMonoid(4)
+    d = dclass_data(h, 2)
+    squares = enumerate_singular_squares(d)
+    ig_tree, pg_tree = t_s(4, 2, p0_projections(4, 2)[0]), t_pg(4, 2)
+    calls = []
+    text = h.text
+    h.text = lambda x: calls.append(x) or text(x)
+    ig = presn_ig(d, ig_tree, squares)
+    pg = presn_pg_squares(d, pg_tree, squares)
+    hints = subgroup_hints(d, "ig")
+    assert len(calls) == len(d.idempotents) + 1 == 332
+    assert ig.generators == pg.generators == tuple(hints.labels)
+    assert hints.quotient_generators[0] in ig.generators
 
 
 @pytest.mark.parametrize("n,r", [(3, 1), (4, 2)])
